@@ -1,8 +1,8 @@
-//! Criterion microbenchmarks of the serving runtimes (E18 in
-//! microbenchmark form): persistent worker pool vs scoped threads vs the
-//! sequential schedule on one admission batch, pipelined enqueue/collect
-//! streaming, and the admission queue's duplicate-query coalescing under
-//! a Zipf-skewed batch.
+//! Criterion microbenchmarks of the serving runtime (E18 in
+//! microbenchmark form): persistent worker pool vs the sequential
+//! schedule on one admission batch, pipelined enqueue/collect streaming,
+//! and the admission queue's duplicate-query coalescing under a
+//! Zipf-skewed batch.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -59,8 +59,7 @@ fn engine(index: &Arc<InvertedIndex>, shards: usize) -> ShardedEngine {
 }
 
 /// One distinct-query admission batch through each runtime: the pool's
-/// edge here is purely the removed spawn/join (no duplicates to
-/// coalesce).
+/// edge here is purely shard parallelism (no duplicates to coalesce).
 fn bench_batch_runtimes(c: &mut Criterion) {
     let (index, batch) = fixture();
     let mut g = c.benchmark_group("serving_batch");
@@ -69,14 +68,6 @@ fn bench_batch_runtimes(c: &mut Criterion) {
         let mut eng = engine(&index, shards);
         g.bench_with_input(BenchmarkId::new("pool", shards), &shards, |b, _| {
             b.iter(|| black_box(pool.submit_many(&batch).expect("in-vocabulary batch")))
-        });
-        g.bench_with_input(BenchmarkId::new("scoped", shards), &shards, |b, _| {
-            b.iter(|| {
-                black_box(
-                    eng.execute_batch(&batch, ServeMode::Planned, true)
-                        .expect("in-vocabulary batch"),
-                )
-            })
         });
         g.bench_with_input(BenchmarkId::new("sequential", shards), &shards, |b, _| {
             b.iter(|| {

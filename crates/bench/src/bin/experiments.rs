@@ -72,7 +72,7 @@ fn print_usage() {
     eprintln!("  e15  cost-driven planner vs best-in-hindsight        (paper §3 step 3)");
     eprintln!("  e16  sharded serving scaling + threshold propagation  (serving layer)");
     eprintln!("  e17  block-compressed posting storage: decode + walls  (storage layer)");
-    eprintln!("  e18  sustained-load serving: pool vs scoped vs sequential (serving layer)");
+    eprintln!("  e18  sustained-load serving: pool vs sequential (serving layer)");
     eprintln!("  e19  overload shedding, deadlines, worker fault storm    (serving layer)");
     eprintln!("  e20  telemetry overhead: instrumented vs uninstrumented  (observability)");
     eprintln!("  e21  cross-batch result cache + plan memo under Zipf load (serving layer)");

@@ -455,6 +455,13 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One Quick measurement, shared by the tests below.
+    fn quick() -> &'static [CaseResult] {
+        static RESULTS: OnceLock<Vec<CaseResult>> = OnceLock::new();
+        RESULTS.get_or_init(|| measure(Scale::Quick))
+    }
 
     #[test]
     fn e14_pruning_is_exact_and_effective() {
@@ -467,9 +474,9 @@ mod tests {
         // costs a few percent of scan reduction on the densest mix and
         // buys the colocated one-load skip decision that fixed the
         // pruned-slower-than-exhaustive wall-time anomaly.)
-        let results = measure(Scale::Quick);
+        let results = quick();
         assert_eq!(results.len(), 9, "3 mixes x 3 models");
-        for r in &results {
+        for r in results {
             assert_eq!(
                 r.pruned.postings_scanned + r.pruned.docs_skipped,
                 r.exhaustive.postings_scanned,
@@ -496,8 +503,8 @@ mod tests {
 
     #[test]
     fn e14_json_is_well_formed() {
-        let results = measure(Scale::Quick);
-        let json = to_json(Scale::Quick, &results);
+        let results = quick();
+        let json = to_json(Scale::Quick, results);
         assert!(json.contains("\"experiment\": \"e14\""));
         assert_eq!(json.matches("{\"mix\"").count(), results.len());
         // Balanced braces/brackets (cheap structural sanity).

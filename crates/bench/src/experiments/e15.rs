@@ -327,12 +327,19 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One Quick measurement, shared by the tests below.
+    fn quick() -> &'static [MixResult] {
+        static RESULTS: OnceLock<Vec<MixResult>> = OnceLock::new();
+        RESULTS.get_or_init(|| measure(Scale::Quick))
+    }
 
     #[test]
     fn e15_planner_matches_best_in_hindsight() {
-        let results = measure(Scale::Quick);
+        let results = quick();
         assert_eq!(results.len(), 3, "three query mixes");
-        for r in &results {
+        for r in results {
             assert!(
                 r.match_rate() >= MIN_MATCH_RATE,
                 "{}: match rate {:.2} below the {MIN_MATCH_RATE} acceptance bar",
@@ -352,8 +359,8 @@ mod tests {
 
     #[test]
     fn e15_json_is_well_formed() {
-        let results = measure(Scale::Quick);
-        let json = to_json(Scale::Quick, &results);
+        let results = quick();
+        let json = to_json(Scale::Quick, results);
         assert!(json.contains("\"experiment\": \"e15\""));
         assert_eq!(json.matches("{\"mix\"").count(), results.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -6,7 +6,7 @@
 //! merge), and a fixed query batch is replayed at every shard count with
 //! cross-shard threshold propagation on and off.
 //!
-//! Figures per configuration (medians over [`RUNS`] replays):
+//! Figures per configuration (medians over `RUNS` replays):
 //!
 //! * **crit. path** — the busiest shard's summed busy time, taken from a
 //!   *sequential* profiling replay (each shard alone, so the figure is
@@ -319,12 +319,19 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One Quick measurement, shared by the tests below.
+    fn quick() -> &'static [ServingResult] {
+        static RESULTS: OnceLock<Vec<ServingResult>> = OnceLock::new();
+        RESULTS.get_or_init(|| measure(Scale::Quick))
+    }
 
     #[test]
     fn e16_sharded_serving_scales_and_propagation_pays() {
-        let results = measure(Scale::Quick);
+        let results = quick();
         assert_eq!(results.len(), SHARD_COUNTS.len() * 2);
-        for r in &results {
+        for r in results {
             assert!(r.postings > 0);
             assert!(r.queries > 0);
         }
@@ -347,8 +354,8 @@ mod tests {
 
     #[test]
     fn e16_json_is_well_formed() {
-        let results = measure(Scale::Quick);
-        let json = to_json(Scale::Quick, &results);
+        let results = quick();
+        let json = to_json(Scale::Quick, results);
         assert!(json.contains("\"experiment\": \"e16\""));
         assert!(json.contains("\"notes\""));
         // The retired metrics may be *mentioned* in the notes (that is

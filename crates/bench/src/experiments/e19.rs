@@ -17,7 +17,7 @@
 //!   honest counters — rather than errors;
 //! * **fault storm**: an armed poison term panics one shard's worker
 //!   inside its per-query guard (only the poisoned position may fail),
-//!   then [`CRASHES`] worker crashes on rotating shards kill threads
+//!   then `CRASHES` worker crashes on rotating shards kill threads
 //!   outside the guard mid-stream. The pool respawns each worker over
 //!   its retained shard and keeps serving.
 //!
@@ -29,20 +29,17 @@
 //! crashes injected and the post-storm pool answers the oracle exactly.
 //! The committed figures live in `BENCH_resilience.json`.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use moa_corpus::{
-    generate_query_stream, Collection, CollectionConfig, DfBias, QueryConfig, StreamConfig,
-};
+use moa_corpus::Collection;
 use moa_ir::InvertedIndex;
 use moa_serve::{
-    silence_worker_panics, AdmissionPolicy, BatchQuery, PendingBatch, ServeConfig, ServeMode,
-    ServeSession, ShardedEngine, WorkerFault,
+    silence_worker_panics, AdmissionPolicy, BatchQuery, ServeConfig, ServeSession, WorkerFault,
 };
 
+use crate::harness::load::{self, Load, Oracle, Zipf};
 use crate::harness::{fmt_duration, Percentiles, Scale, Table};
 
 /// Ranking depth.
@@ -75,6 +72,22 @@ const DEADLINE_BUDGET_BATCHES: f64 = 0.5;
 
 /// Worker crashes injected by the fault storm, on rotating shards.
 const CRASHES: usize = 3;
+
+/// Uncollected tickets the driver holds before it must merge the
+/// oldest. Deeper than the worker queue bound, so under `Shed` policy
+/// admission — not the driver's merging — is what saturates first (the
+/// oldest ticket is long served by the time the window forces a
+/// collect, and the driver keeps up with the arrival schedule). A
+/// one-deep pipeline would itself backpressure the stream and never fill
+/// a bounded queue.
+const IN_FLIGHT_BATCHES: usize = 2 * QUEUE_DEPTH;
+
+/// The stream: seeds and skew of the Zipf replay.
+const ZIPF: Zipf = Zipf {
+    pool_seed: 0xE19,
+    stream_seed: 0x57E5,
+    exponent: 1.0,
+};
 
 /// One shedding drive at one offered-load multiple.
 pub struct OverloadResult {
@@ -143,179 +156,12 @@ pub struct FaultResult {
 pub struct ResilienceReport {
     /// Calibrated single-thread capacity (queries/sec).
     pub capacity_qps: f64,
-    /// The shedding drives, one per [`OVERLOADS`] multiple.
+    /// The shedding drives, one per `OVERLOADS` multiple.
     pub overload: Vec<OverloadResult>,
     /// The deadline drive.
     pub deadline: DeadlineResult,
     /// The fault storm.
     pub faults: FaultResult,
-}
-
-/// The differential oracle: every distinct stream query answered by an
-/// unsharded engine on the deterministic sequential schedule.
-type Oracle = HashMap<(Vec<u32>, usize), Vec<(u32, f64)>>;
-
-fn build_oracle(index: &Arc<InvertedIndex>, stream: &[BatchQuery]) -> Oracle {
-    let config = ServeConfig::planned(1);
-    let mut engine = ShardedEngine::build(
-        Arc::clone(index),
-        config.shard_spec,
-        config.frag_spec,
-        config.model,
-        config.policy,
-        config.sparse_block,
-    )
-    .expect("collection shards cleanly");
-    let mut distinct: Vec<BatchQuery> = Vec::new();
-    let mut oracle: Oracle = HashMap::new();
-    for q in stream {
-        if let std::collections::hash_map::Entry::Vacant(e) = oracle.entry((q.terms.clone(), q.n)) {
-            e.insert(Vec::new());
-            distinct.push(q.clone());
-        }
-    }
-    for chunk in distinct.chunks(MAX_BATCH) {
-        let responses = engine
-            .execute_batch_sequential(chunk, ServeMode::Planned, true)
-            .expect("in-vocabulary stream");
-        for (q, r) in chunk.iter().zip(responses) {
-            oracle.insert((q.terms.clone(), q.n), r.top);
-        }
-    }
-    oracle
-}
-
-/// Whether a served response matches the oracle bit for bit.
-fn matches_oracle(oracle: &Oracle, q: &BatchQuery, top: &[(u32, f64)]) -> bool {
-    let want = &oracle[&(q.terms.clone(), q.n)];
-    top.len() == want.len()
-        && top
-            .iter()
-            .zip(want.iter())
-            .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-}
-
-/// What one open-loop drive against a degradable session observed.
-struct Drive {
-    completed: usize,
-    shed: usize,
-    failed: usize,
-    partial: usize,
-    mismatches: usize,
-    achieved_qps: f64,
-    latency: Percentiles,
-}
-
-/// Uncollected tickets the driver holds before it must merge the
-/// oldest. Deeper than the worker queue bound, so under `Shed` policy
-/// admission — not the driver's merging — is what saturates first (the
-/// oldest ticket is long served by the time the cap forces a collect,
-/// and the driver keeps up with the arrival schedule).
-const IN_FLIGHT_BATCHES: usize = 2 * QUEUE_DEPTH;
-
-/// Drive `stream` open-loop at `offered_qps`, holding up to
-/// [`IN_FLIGHT_BATCHES`] uncollected tickets (E18's one-deep pipeline
-/// would itself backpressure the stream and never fill a bounded
-/// queue), tolerating shed admissions and per-position failures.
-/// Latency is arrival-to-merge for queries that were served.
-fn drive(
-    session: &mut ServeSession,
-    stream: &[BatchQuery],
-    offered_qps: f64,
-    oracle: &Oracle,
-) -> Drive {
-    let t0 = Instant::now();
-    let arrival = |i: usize| t0 + Duration::from_secs_f64(i as f64 / offered_qps);
-    let mut out = Drive {
-        completed: 0,
-        shed: 0,
-        failed: 0,
-        partial: 0,
-        mismatches: 0,
-        achieved_qps: 0.0,
-        latency: Percentiles::default(),
-    };
-    let mut latencies: Vec<Duration> = Vec::with_capacity(stream.len());
-    let mut last_done = t0;
-    let mut in_flight: std::collections::VecDeque<(PendingBatch, usize, usize)> =
-        std::collections::VecDeque::with_capacity(IN_FLIGHT_BATCHES);
-    let settle = |session: &mut ServeSession,
-                  pending: (PendingBatch, usize, usize),
-                  out: &mut Drive,
-                  latencies: &mut Vec<Duration>| {
-        let (pending, from, to) = pending;
-        let report = session.collect(pending);
-        let done = Instant::now();
-        for (i, r) in (from..to).zip(report.responses.iter()) {
-            match r {
-                Ok(resp) => {
-                    out.completed += 1;
-                    latencies.push(done.saturating_duration_since(arrival(i)));
-                    if resp.partial {
-                        out.partial += 1;
-                    } else if !matches_oracle(oracle, &stream[i], &resp.top) {
-                        out.mismatches += 1;
-                    }
-                }
-                Err(_) => out.failed += 1,
-            }
-        }
-        done
-    };
-    let mut next = 0usize;
-    while next < stream.len() {
-        while Instant::now() < arrival(next) {
-            std::hint::spin_loop();
-        }
-        let now = Instant::now();
-        let mut end = next + 1;
-        while end < stream.len() && end - next < MAX_BATCH && arrival(end) <= now {
-            end += 1;
-        }
-        match session.enqueue(&stream[next..end]) {
-            Ok(pending) => {
-                in_flight.push_back((pending, next, end));
-                if in_flight.len() > IN_FLIGHT_BATCHES {
-                    let oldest = in_flight.pop_front().expect("non-empty");
-                    last_done = settle(session, oldest, &mut out, &mut latencies);
-                }
-            }
-            Err(e) => {
-                debug_assert!(e.is_shed(), "admission can only refuse by shedding: {e}");
-                out.shed += end - next;
-            }
-        }
-        next = end;
-    }
-    while let Some(oldest) = in_flight.pop_front() {
-        last_done = settle(session, oldest, &mut out, &mut latencies);
-    }
-    let elapsed = last_done.saturating_duration_since(t0);
-    out.achieved_qps = out.completed as f64 / elapsed.as_secs_f64().max(1e-9);
-    out.latency = Percentiles::of(&mut latencies).unwrap_or_default();
-    out
-}
-
-fn stream_config(scale: Scale) -> StreamConfig {
-    let (pool_size, length) = match scale {
-        Scale::Quick => (30, 240),
-        Scale::Full => (40, 480),
-    };
-    StreamConfig {
-        pool: QueryConfig {
-            num_queries: pool_size,
-            bias: DfBias::FrequentOnly,
-            seed: 0xE19,
-            ..QueryConfig::default()
-        },
-        length,
-        exponent: 1.0,
-        seed: 0x57E5,
-    }
-}
-
-fn session(index: &Arc<InvertedIndex>, config: ServeConfig) -> ServeSession {
-    ServeSession::new(Arc::clone(index), config).expect("collection shards cleanly")
 }
 
 /// One closed-loop pass over the stream before a timed drive: settles
@@ -350,7 +196,7 @@ fn fault_storm(
     oracle: &Oracle,
 ) -> FaultResult {
     silence_worker_panics();
-    let mut svc = session(index, ServeConfig::planned(SHARDS));
+    let mut svc = load::session(index, ServeConfig::planned(SHARDS));
     warm(&mut svc, stream);
     let chunks: Vec<&[BatchQuery]> = stream.chunks(MAX_BATCH).collect();
 
@@ -381,7 +227,7 @@ fn fault_storm(
             }
             Err(e) => panic!("clean position {i} failed under poison: {e}"),
             Ok(resp) => {
-                poison_clean &= matches_oracle(oracle, &poisoned_batch[i], &resp.top);
+                poison_clean &= oracle.matches(&poisoned_batch[i], &resp.top);
             }
         }
     }
@@ -395,7 +241,7 @@ fn fault_storm(
     let poison_recovered = poison_clean
         && disarmed.responses.iter().enumerate().all(|(i, r)| {
             r.as_ref().is_ok_and(|resp| {
-                i == poisoned_pos || matches_oracle(oracle, &poisoned_batch[i], &resp.top)
+                i == poisoned_pos || oracle.matches(&poisoned_batch[i], &resp.top)
             })
         });
 
@@ -415,7 +261,7 @@ fn fault_storm(
             match r {
                 Ok(resp) => {
                     assert!(
-                        matches_oracle(oracle, q, &resp.top),
+                        oracle.matches(q, &resp.top),
                         "mid-storm response diverged from the oracle"
                     );
                 }
@@ -433,10 +279,10 @@ fn fault_storm(
         let report = svc
             .submit_many(chunk)
             .expect("blocking admission never sheds");
-        chunk.iter().zip(report.responses.iter()).all(|(q, r)| {
-            r.as_ref()
-                .is_ok_and(|resp| matches_oracle(oracle, q, &resp.top))
-        })
+        chunk
+            .iter()
+            .zip(report.responses.iter())
+            .all(|(q, r)| r.as_ref().is_ok_and(|resp| oracle.matches(q, &resp.top)))
     });
     let respawns = svc.pool_mut().respawns();
     let recoveries = svc.pool_mut().recoveries().to_vec();
@@ -461,60 +307,46 @@ fn fault_storm(
 /// drives, the deadline drive, and the fault storm — all against the
 /// same stream and oracle.
 pub fn measure(scale: Scale) -> ResilienceReport {
-    let config = match scale {
-        Scale::Quick => CollectionConfig::small(),
-        Scale::Full => CollectionConfig::ft_scale(),
-    };
-    let collection = Collection::generate(config).expect("valid preset");
-    let index = Arc::new(InvertedIndex::from_collection(&collection));
-    let stream: Vec<BatchQuery> = generate_query_stream(&collection, &stream_config(scale))
-        .expect("valid stream config")
-        .into_iter()
-        .map(|q| BatchQuery {
-            terms: q.terms,
-            n: TOP_N,
-        })
-        .collect();
-    let oracle = build_oracle(&index, &stream);
+    let (collection, index) = load::corpus(scale);
+    let stream = ZIPF.stream(&collection, scale, TOP_N);
+    let oracle = Oracle::build(&index, &stream);
+    let capacity_qps = load::single_thread_capacity(&index, &stream, MAX_BATCH);
 
-    // Calibration: warmed single-thread capacity, as E18.
-    let calib_config = ServeConfig::planned(1);
-    let mut calib = ShardedEngine::build(
-        Arc::clone(&index),
-        calib_config.shard_spec,
-        calib_config.frag_spec,
-        calib_config.model,
-        calib_config.policy,
-        calib_config.sparse_block,
-    )
-    .expect("collection shards cleanly");
-    for chunk in stream.chunks(MAX_BATCH) {
-        let _ = calib
-            .execute_batch_sequential(chunk, ServeMode::Planned, true)
-            .expect("in-vocabulary stream");
-    }
-    let t0 = Instant::now();
-    for chunk in stream.chunks(MAX_BATCH) {
-        let _ = calib
-            .execute_batch_sequential(chunk, ServeMode::Planned, true)
-            .expect("in-vocabulary stream");
-    }
-    let capacity_qps = stream.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
+    // A warmed session driven open-loop at `offered_qps`, tolerating shed
+    // admissions and per-position failures; the settle callback counts
+    // partial responses and non-partial ones that diverge from the
+    // oracle.
+    let checked_drive = |config: ServeConfig, offered_qps: f64| {
+        let mut svc = load::session(&index, config);
+        warm(&mut svc, &stream);
+        let (mut partial, mut mismatches) = (0usize, 0usize);
+        let arrivals = Load {
+            offered_qps,
+            max_batch: MAX_BATCH,
+            window: IN_FLIGHT_BATCHES,
+        };
+        let d = load::drive(&mut svc, &stream, arrivals, |batch, responses| {
+            for (q, r) in batch.iter().zip(responses) {
+                match r {
+                    Ok(resp) if resp.partial => partial += 1,
+                    Ok(resp) if !oracle.matches(q, &resp.top) => mismatches += 1,
+                    _ => {}
+                }
+            }
+        });
+        (svc, d, partial, mismatches)
+    };
 
     // Shedding drives: bounded queues, refuse-don't-queue.
     let mut overload = Vec::new();
     for &multiplier in &OVERLOADS {
-        let mut svc = session(
-            &index,
-            ServeConfig {
-                queue_depth: QUEUE_DEPTH,
-                admission: AdmissionPolicy::Shed,
-                ..ServeConfig::planned(SHARDS)
-            },
-        );
-        warm(&mut svc, &stream);
         let offered_qps = multiplier * capacity_qps;
-        let d = drive(&mut svc, &stream, offered_qps, &oracle);
+        let config = ServeConfig {
+            queue_depth: QUEUE_DEPTH,
+            admission: AdmissionPolicy::Shed,
+            ..ServeConfig::planned(SHARDS)
+        };
+        let (svc, d, _, mismatches) = checked_drive(config, offered_qps);
         overload.push(OverloadResult {
             multiplier,
             offered_qps,
@@ -523,7 +355,7 @@ pub fn measure(scale: Scale) -> ResilienceReport {
             completed: d.completed,
             shed: d.shed,
             failed: d.failed,
-            mismatches: d.mismatches,
+            mismatches,
             latency: d.latency,
             high_water: svc.pool().queue_high_water(),
             bound: svc.pool().queue_bound(),
@@ -533,22 +365,18 @@ pub fn measure(scale: Scale) -> ResilienceReport {
     // Deadline drive: blocking admission, budget below one batch's
     // service time, deep overload — queued queries degrade to partial.
     let budget = Duration::from_secs_f64(DEADLINE_BUDGET_BATCHES * MAX_BATCH as f64 / capacity_qps);
-    let mut svc = session(
-        &index,
-        ServeConfig {
-            deadline: Some(budget),
-            ..ServeConfig::planned(SHARDS)
-        },
-    );
-    warm(&mut svc, &stream);
-    let d = drive(&mut svc, &stream, DEADLINE_OVERLOAD * capacity_qps, &oracle);
+    let config = ServeConfig {
+        deadline: Some(budget),
+        ..ServeConfig::planned(SHARDS)
+    };
+    let (_, d, partial, mismatches) = checked_drive(config, DEADLINE_OVERLOAD * capacity_qps);
     let deadline = DeadlineResult {
         budget,
         queries: stream.len(),
         completed: d.completed,
-        partial: d.partial,
+        partial,
         failed: d.failed,
-        mismatches: d.mismatches,
+        mismatches,
     };
 
     let faults = fault_storm(&index, &collection, &stream, &oracle);

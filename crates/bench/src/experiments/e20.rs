@@ -10,13 +10,13 @@
 //! (pinned by `alloc_telemetry.rs` / `alloc_steady_state.rs`); this
 //! experiment prices it end to end.
 //!
-//! The same open-loop Zipf replay harness as E18 (arrivals due at
-//! `i / offered_qps` regardless of server progress, admission batches
-//! capped at [`MAX_BATCH`], offered load calibrated to [`OVERLOAD`] ×
-//! measured single-thread capacity) drives two otherwise identical pool
-//! sessions at every shard count: telemetry **on** (traces + slow log
-//! captured) and telemetry **off** (registry metrics only). Each cell
-//! reports its best replay of [`REPLAYS`].
+//! The shared open-loop Zipf replay harness ([`crate::harness::load`]:
+//! arrivals due at `i / offered_qps` regardless of server progress,
+//! admission batches capped at `MAX_BATCH`, offered load calibrated to
+//! `OVERLOAD` × measured single-thread capacity) drives two otherwise
+//! identical pool sessions at every shard count: telemetry **on**
+//! (traces + slow log captured) and telemetry **off** (registry metrics
+//! only). Each cell reports its best replay of `REPLAYS`.
 //!
 //! Gates (enforced here and by CI's E20 smoke):
 //!
@@ -33,14 +33,11 @@
 
 use std::fmt::Write as _;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
 
-use moa_corpus::{
-    generate_query_stream, Collection, CollectionConfig, DfBias, QueryConfig, StreamConfig,
-};
 use moa_ir::InvertedIndex;
 use moa_serve::{BatchQuery, ServeConfig, ServeSession};
 
+use crate::harness::load::{self, Load, Zipf};
 use crate::harness::{fmt_duration, Percentiles, Scale, Table};
 
 /// Ranking depth (matches the E18 serving posture).
@@ -60,6 +57,13 @@ const OVERLOAD: f64 = 1.5;
 
 /// Replays per cell; the best replay is reported.
 const REPLAYS: usize = 5;
+
+/// The stream: seeds and skew of the Zipf replay.
+const ZIPF: Zipf = Zipf {
+    pool_seed: 0xE20,
+    stream_seed: 0x0B5,
+    exponent: 1.0,
+};
 
 /// The overhead gate: instrumented qps must stay at or above this
 /// fraction of the uninstrumented figure. The bound is deliberately
@@ -89,92 +93,20 @@ pub struct ObsResult {
     pub slow: usize,
 }
 
-/// What one replay of the stream measured.
-struct Replay {
-    achieved_qps: f64,
-    latency: Percentiles,
-}
-
-/// Drive one open-loop replay against a pool session, pipelined exactly
-/// as E18 drives its pool runtime: admit the next batch before
-/// collecting the previous.
-fn drive(session: &mut ServeSession, stream: &[BatchQuery], offered_qps: f64) -> Replay {
-    let t0 = Instant::now();
-    let arrival = |i: usize| t0 + Duration::from_secs_f64(i as f64 / offered_qps);
-    let mut latencies: Vec<Duration> = Vec::with_capacity(stream.len());
-    let mut in_flight = None;
-    let mut last_done = t0;
-    let mut next = 0usize;
-    while next < stream.len() {
-        while Instant::now() < arrival(next) {
-            std::hint::spin_loop();
-        }
-        let now = Instant::now();
-        let mut end = next + 1;
-        while end < stream.len() && end - next < MAX_BATCH && arrival(end) <= now {
-            end += 1;
-        }
-        let pending = session
-            .enqueue(&stream[next..end])
-            .expect("blocking admission never sheds");
-        if let Some((prev, from, to)) = in_flight.take() {
-            let _ = session.collect(prev);
-            let done = Instant::now();
-            for i in from..to {
-                latencies.push(done.saturating_duration_since(arrival(i)));
-            }
-            last_done = done;
-        }
-        in_flight = Some((pending, next, end));
-        next = end;
-    }
-    if let Some((prev, from, to)) = in_flight.take() {
-        let _ = session.collect(prev);
-        let done = Instant::now();
-        for i in from..to {
-            latencies.push(done.saturating_duration_since(arrival(i)));
-        }
-        last_done = done;
-    }
-    let elapsed = last_done.saturating_duration_since(t0);
-    Replay {
-        achieved_qps: stream.len() as f64 / elapsed.as_secs_f64().max(1e-9),
-        latency: Percentiles::of(&mut latencies).expect("non-empty stream"),
-    }
-}
-
-fn stream_config(scale: Scale) -> StreamConfig {
-    let (pool_size, length) = match scale {
-        Scale::Quick => (30, 240),
-        Scale::Full => (40, 480),
-    };
-    StreamConfig {
-        pool: QueryConfig {
-            num_queries: pool_size,
-            bias: DfBias::FrequentOnly,
-            seed: 0xE20,
-            ..QueryConfig::default()
-        },
-        length,
-        exponent: 1.0,
-        seed: 0x0B5,
-    }
-}
-
-fn session(index: &Arc<InvertedIndex>, shards: usize, telemetry: bool) -> ServeSession {
-    let config = ServeConfig {
+/// The planned posture at `shards` with trace capture on or off.
+fn config(shards: usize, telemetry: bool) -> ServeConfig {
+    ServeConfig {
         telemetry,
         ..ServeConfig::planned(shards)
-    };
-    ServeSession::new(Arc::clone(index), config).expect("collection shards cleanly")
+    }
 }
 
 /// The transparency oracle: the same query stream through an
 /// instrumented and an uninstrumented session yields bit-identical
 /// rankings, query by query. Panics on the first divergence.
 pub fn assert_identical_answers(index: &Arc<InvertedIndex>, stream: &[BatchQuery], shards: usize) {
-    let mut on = session(index, shards, true);
-    let mut off = session(index, shards, false);
+    let mut on = load::session(index, config(shards, true));
+    let mut off = load::session(index, config(shards, false));
     for chunk in stream.chunks(MAX_BATCH) {
         let ron = on.submit_many(chunk).expect("admission never sheds");
         let roff = off.submit_many(chunk).expect("admission never sheds");
@@ -228,52 +160,22 @@ fn check_capture(session: &ServeSession, config_slow: usize) -> (usize, usize) {
 /// telemetry off and on at every shard count under the identical stream
 /// and arrival schedule.
 pub fn measure(scale: Scale) -> Vec<ObsResult> {
-    let config = match scale {
-        Scale::Quick => CollectionConfig::small(),
-        Scale::Full => CollectionConfig::ft_scale(),
+    let (collection, index) = load::corpus(scale);
+    let stream = ZIPF.stream(&collection, scale, TOP_N);
+    // Both telemetry modes face the same offered rate so the figures
+    // are comparable.
+    let arrivals = Load {
+        offered_qps: OVERLOAD * load::single_thread_capacity(&index, &stream, MAX_BATCH),
+        max_batch: MAX_BATCH,
+        window: 1,
     };
-    let collection = Collection::generate(config).expect("valid preset");
-    let index = Arc::new(InvertedIndex::from_collection(&collection));
-    let stream: Vec<BatchQuery> = generate_query_stream(&collection, &stream_config(scale))
-        .expect("valid stream config")
-        .into_iter()
-        .map(|q| BatchQuery {
-            terms: q.terms,
-            n: TOP_N,
-        })
-        .collect();
-
-    // Calibration: uninstrumented single-worker capacity on the batched
-    // sequential path, after a warm-up pass. Both telemetry modes face
-    // the same offered rate so the figures are comparable.
-    let mut calib = session(&index, 1, false);
-    for chunk in stream.chunks(MAX_BATCH) {
-        let _ = calib.submit_many_sequential(chunk);
-    }
-    let t0 = Instant::now();
-    for chunk in stream.chunks(MAX_BATCH) {
-        let _ = calib.submit_many_sequential(chunk);
-    }
-    let capacity = stream.len() as f64 / t0.elapsed().as_secs_f64().max(1e-9);
-    let offered_qps = OVERLOAD * capacity;
 
     let mut results = Vec::new();
     for &shards in &SHARD_COUNTS {
         for telemetry in [false, true] {
-            let mut s = session(&index, shards, telemetry);
+            let mut s = load::session(&index, config(shards, telemetry));
             let slow_cap = s.config().slow_log;
-            let _ = drive(&mut s, &stream, offered_qps); // warm-up
-            let mut best: Option<Replay> = None;
-            for _ in 0..REPLAYS {
-                let replay = drive(&mut s, &stream, offered_qps);
-                if best
-                    .as_ref()
-                    .is_none_or(|b| replay.achieved_qps > b.achieved_qps)
-                {
-                    best = Some(replay);
-                }
-            }
-            let best = best.expect("at least one replay");
+            let best = load::best_drive(&mut s, &stream, arrivals, REPLAYS);
             let (traces, slow) = if telemetry {
                 check_capture(&s, slow_cap)
             } else {
@@ -284,7 +186,7 @@ pub fn measure(scale: Scale) -> Vec<ObsResult> {
             results.push(ObsResult {
                 shards,
                 telemetry,
-                offered_qps,
+                offered_qps: arrivals.offered_qps,
                 achieved_qps: best.achieved_qps,
                 latency: best.latency,
                 queries: stream.len(),
@@ -392,7 +294,7 @@ pub fn run(scale: Scale) -> Table {
     let first = results.first().expect("non-empty sweep");
     t.note(format!(
         "open-loop Zipf stream of {} arrivals, top-{TOP_N}, admission batches capped at \
-         {MAX_BATCH}; offered load = {OVERLOAD} x measured single-worker capacity; best of \
+         {MAX_BATCH}; offered load = {OVERLOAD} x measured single-thread capacity; best of \
          {REPLAYS} replays per cell",
         first.queries
     ));
@@ -428,12 +330,19 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::OnceLock;
+
+    /// One Quick sweep, shared by the tests below.
+    fn quick() -> &'static [ObsResult] {
+        static RESULTS: OnceLock<Vec<ObsResult>> = OnceLock::new();
+        RESULTS.get_or_init(|| measure(Scale::Quick))
+    }
 
     #[test]
     fn e20_sweep_shape_and_capture() {
-        let results = measure(Scale::Quick);
+        let results = quick();
         assert_eq!(results.len(), SHARD_COUNTS.len() * 2);
-        for r in &results {
+        for r in results {
             assert!(r.achieved_qps > 0.0);
             assert!(r.latency.p50 <= r.latency.p95);
             assert!(r.latency.p99 <= r.latency.max);
@@ -449,8 +358,8 @@ mod tests {
 
     #[test]
     fn e20_json_is_well_formed() {
-        let results = measure(Scale::Quick);
-        let json = to_json(Scale::Quick, &results);
+        let results = quick();
+        let json = to_json(Scale::Quick, results);
         assert!(json.contains("\"experiment\": \"e20\""));
         assert_eq!(json.matches("{\"shards\"").count(), results.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -11,7 +11,7 @@
 //!
 //! * **Skew sweep (throughput)** — the same Zipf stream generator at
 //!   several popularity exponents, cache **off** vs cache **on**, each
-//!   driven open-loop at [`OVERLOAD`] × the measured cache-off capacity.
+//!   driven open-loop at `OVERLOAD` × the measured cache-off capacity.
 //!   The cache-off session saturates at its capacity; the cached session
 //!   keeps up with the offered rate because hits bypass the workers.
 //!   Gate: cached throughput ≥ [`GATE_SPEEDUP`] × uncached at the most
@@ -36,13 +36,11 @@ use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use moa_corpus::{
-    generate_query_stream, Collection, CollectionConfig, DfBias, QueryConfig, StreamConfig,
-};
+use moa_corpus::{Collection, QueryConfig};
 use moa_ir::{InvertedIndex, PhysicalPlan};
-use moa_serve::{BatchQuery, CacheConfig, ServeConfig, ServeMode, ServeSession, ShardedEngine};
+use moa_serve::{BatchQuery, CacheConfig, ServeConfig, ServeMode, ServeSession};
 
-use crate::experiments::e18::distinct_key_count;
+use crate::harness::load::{self, Load, Oracle, Zipf};
 use crate::harness::{Scale, Table};
 
 /// Ranking depth (matches the E18/E20 serving posture).
@@ -66,6 +64,16 @@ const REPLAYS: usize = 5;
 /// Zipf popularity exponents swept, least to most skewed. The last is
 /// the gated mix.
 const SKEWS: [f64; 3] = [0.4, 1.0, 1.6];
+
+/// The stream at popularity `exponent`: one query pool and one arrival
+/// seed across the sweep.
+const fn zipf(exponent: f64) -> Zipf {
+    Zipf {
+        pool_seed: 0xE21,
+        stream_seed: 0x21AC,
+        exponent,
+    }
+}
 
 /// The headline gate: cached throughput over uncached at the most
 /// skewed exponent.
@@ -131,87 +139,12 @@ pub struct StormResult {
     pub evictions: u64,
 }
 
-fn stream_config(scale: Scale, exponent: f64) -> StreamConfig {
-    let (pool_size, length) = match scale {
-        Scale::Quick => (30, 240),
-        Scale::Full => (40, 480),
-    };
-    StreamConfig {
-        pool: QueryConfig {
-            num_queries: pool_size,
-            bias: DfBias::FrequentOnly,
-            seed: 0xE21,
-            ..QueryConfig::default()
-        },
-        length,
-        exponent,
-        seed: 0x21AC,
-    }
-}
-
-fn make_stream(collection: &Collection, scale: Scale, exponent: f64) -> Vec<BatchQuery> {
-    generate_query_stream(collection, &stream_config(scale, exponent))
-        .expect("valid stream config")
-        .into_iter()
-        .map(|q| BatchQuery {
-            terms: q.terms,
-            n: TOP_N,
-        })
-        .collect()
-}
-
-fn session(index: &Arc<InvertedIndex>, cache: Option<CacheConfig>) -> ServeSession {
-    let config = ServeConfig {
+/// The planned posture at [`SHARDS`] with the result cache on or off.
+fn config(cache: Option<CacheConfig>) -> ServeConfig {
+    ServeConfig {
         cache,
         ..ServeConfig::planned(SHARDS)
-    };
-    ServeSession::new(Arc::clone(index), config).expect("collection shards cleanly")
-}
-
-/// Drive one open-loop replay, pipelined exactly as E18/E20: admit the
-/// next batch before collecting the previous. Returns achieved qps.
-fn drive(session: &mut ServeSession, stream: &[BatchQuery], offered_qps: f64) -> f64 {
-    let t0 = Instant::now();
-    let arrival = |i: usize| t0 + Duration::from_secs_f64(i as f64 / offered_qps);
-    let mut in_flight = None;
-    let mut last_done = t0;
-    let mut next = 0usize;
-    while next < stream.len() {
-        while Instant::now() < arrival(next) {
-            std::hint::spin_loop();
-        }
-        let now = Instant::now();
-        let mut end = next + 1;
-        while end < stream.len() && end - next < MAX_BATCH && arrival(end) <= now {
-            end += 1;
-        }
-        let pending = session
-            .enqueue(&stream[next..end])
-            .expect("blocking admission never sheds");
-        if let Some(prev) = in_flight.take() {
-            let _ = session.collect(prev);
-            last_done = Instant::now();
-        }
-        in_flight = Some(pending);
-        next = end;
     }
-    if let Some(prev) = in_flight.take() {
-        let _ = session.collect(prev);
-        last_done = Instant::now();
-    }
-    let elapsed = last_done.saturating_duration_since(t0);
-    stream.len() as f64 / elapsed.as_secs_f64().max(1e-9)
-}
-
-/// Best-of-[`REPLAYS`] open-loop throughput. A persistent session keeps
-/// the cache warm across replays — the steady state a long-lived server
-/// reaches, which is exactly what the sweep is pricing.
-fn best_qps(session: &mut ServeSession, stream: &[BatchQuery], offered_qps: f64) -> f64 {
-    let mut best = 0f64;
-    for _ in 0..REPLAYS {
-        best = best.max(drive(session, stream, offered_qps));
-    }
-    best
 }
 
 /// Phase A: the skew sweep.
@@ -222,21 +155,29 @@ fn measure_skews(
 ) -> Vec<SkewResult> {
     let mut results = Vec::new();
     for &exponent in &SKEWS {
-        let stream = make_stream(collection, scale, exponent);
-        let distinct_keys = distinct_key_count(&stream);
+        let stream = zipf(exponent).stream(collection, scale, TOP_N);
+        let distinct_keys = load::distinct_key_count(&stream);
 
         // Cache-off capacity: drive flat out (arrivals all due at t0),
         // after a warm-up replay — achieved == capacity by construction.
-        let mut off = session(index, None);
-        let _ = drive(&mut off, &stream, 1e9);
-        let capacity = drive(&mut off, &stream, 1e9);
-        let offered_qps = OVERLOAD * capacity;
+        let mut off = load::session(index, config(None));
+        let flat_out = Load {
+            offered_qps: 1e9,
+            max_batch: MAX_BATCH,
+            window: 1,
+        };
+        let capacity = load::best_drive(&mut off, &stream, flat_out, 1).achieved_qps;
+        let arrivals = Load {
+            offered_qps: OVERLOAD * capacity,
+            ..flat_out
+        };
 
-        let off_qps = best_qps(&mut off, &stream, offered_qps);
-
-        let mut on = session(index, Some(CacheConfig::default()));
-        let _ = drive(&mut on, &stream, offered_qps); // warm the cache
-        let on_qps = best_qps(&mut on, &stream, offered_qps);
+        // A persistent session keeps the cache warm across replays — the
+        // steady state a long-lived server reaches, which is exactly what
+        // the sweep is pricing.
+        let off_qps = load::best_drive(&mut off, &stream, arrivals, REPLAYS).achieved_qps;
+        let mut on = load::session(index, config(Some(CacheConfig::default())));
+        let on_qps = load::best_drive(&mut on, &stream, arrivals, REPLAYS).achieved_qps;
 
         let cache = on.result_cache().expect("cache configured").stats();
         let plans_memoized = on.stats().plans_memoized;
@@ -244,7 +185,7 @@ fn measure_skews(
             exponent,
             queries: stream.len(),
             distinct_keys,
-            offered_qps,
+            offered_qps: arrivals.offered_qps,
             off_qps,
             on_qps,
             cache_hits: cache.hits,
@@ -269,7 +210,7 @@ fn measure_miss_overhead(
     scale: Scale,
 ) -> MissOverhead {
     // Every key distinct: the Zipf pool *is* the stream, deduplicated.
-    let pool = stream_config(scale, 1.0).pool;
+    let pool = zipf(1.0).config(scale).pool;
     let pool = QueryConfig {
         num_queries: match scale {
             Scale::Quick => 120,
@@ -301,8 +242,8 @@ fn measure_miss_overhead(
         t0.elapsed()
     };
 
-    let mut off = session(index, None);
-    let mut on = session(index, Some(CacheConfig::default()));
+    let mut off = load::session(index, config(None));
+    let mut on = load::session(index, config(Some(CacheConfig::default())));
     let _ = pass(&mut off); // warm-up
     on.invalidate_epoch();
     let _ = pass(&mut on);
@@ -333,41 +274,26 @@ fn measure_miss_overhead(
 /// Phase C: invalidate before every batch and check every answer
 /// bit-for-bit against an unsharded naive set-at-a-time oracle.
 fn measure_storm(collection: &Collection, index: &Arc<InvertedIndex>, scale: Scale) -> StormResult {
-    let stream = make_stream(collection, scale, 1.0);
+    let stream = zipf(1.0).stream(collection, scale, TOP_N);
     // The serving side under storm: exact fixed plan so the unsharded
     // naive oracle is bit-comparable (every exact plan returns the
     // identical top-N — pinned by moa-ir's physical-plan oracle).
-    let config = ServeConfig {
+    let serving = ServeConfig {
         mode: ServeMode::Fixed(PhysicalPlan::PrunedDaat),
-        cache: Some(CacheConfig::default()),
-        ..ServeConfig::planned(SHARDS)
+        ..config(Some(CacheConfig::default()))
     };
-    let mut svc = ServeSession::new(Arc::clone(index), config).expect("collection shards cleanly");
-    let oracle_cfg = ServeConfig::planned(1);
-    let mut oracle = ShardedEngine::build(
-        Arc::clone(index),
-        moa_serve::ShardSpec::Range { shards: 1 },
-        oracle_cfg.frag_spec,
-        oracle_cfg.model,
-        oracle_cfg.policy,
-        oracle_cfg.sparse_block,
-    )
-    .expect("collection shards cleanly");
+    let mut svc = load::session(index, serving);
+    let oracle = Oracle::build(index, &stream);
 
     let mut batches = 0usize;
     let mut checked = 0usize;
     for chunk in stream.chunks(MAX_BATCH) {
         svc.invalidate_epoch().expect("cache configured");
         let got = svc.submit_many(chunk).expect("blocking admission");
-        let want = oracle
-            .execute_batch_sequential(chunk, ServeMode::Fixed(PhysicalPlan::SetAtATime), true)
-            .expect("in-vocabulary stream");
-        for (qi, (g, w)) in got.responses.iter().zip(&want).enumerate() {
+        for (qi, (q, g)) in chunk.iter().zip(&got.responses).enumerate() {
             let g = g.as_ref().expect("no faults in play");
-            let gb: Vec<(u32, u64)> = g.top.iter().map(|&(d, s)| (d, s.to_bits())).collect();
-            let wb: Vec<(u32, u64)> = w.top.iter().map(|&(d, s)| (d, s.to_bits())).collect();
-            assert_eq!(
-                gb, wb,
+            assert!(
+                oracle.matches(q, &g.top),
                 "storm batch {batches} q{qi}: cached serving diverged from the naive oracle"
             );
             checked += 1;
@@ -396,12 +322,7 @@ pub struct CacheResults {
 
 /// Run every phase.
 pub fn measure(scale: Scale) -> CacheResults {
-    let config = match scale {
-        Scale::Quick => CollectionConfig::small(),
-        Scale::Full => CollectionConfig::ft_scale(),
-    };
-    let collection = Collection::generate(config).expect("valid preset");
-    let index = Arc::new(InvertedIndex::from_collection(&collection));
+    let (collection, index) = load::corpus(scale);
     CacheResults {
         skews: measure_skews(&collection, &index, scale),
         miss: measure_miss_overhead(&collection, &index, scale),
@@ -577,6 +498,7 @@ pub fn run(scale: Scale) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use moa_corpus::CollectionConfig;
 
     #[test]
     fn e21_storm_is_stale_free_and_bit_identical() {

@@ -19,7 +19,7 @@
 //! | E15 | §3 Step 3: cost-driven planner vs best-in-hindsight         | [`e15`]|
 //! | E16 | serving: sharded scaling + cross-shard threshold propagation| [`e16`]|
 //! | E17 | storage: block-compressed postings — decode + wall time     | [`e17`]|
-//! | E18 | serving: sustained-load throughput/latency, pool vs scoped  | [`e18`]|
+//! | E18 | serving: sustained-load qps/latency, pool vs sequential     | [`e18`]|
 //! | E19 | serving: overload shedding, deadlines, worker fault storm   | [`e19`]|
 //! | E20 | observability: telemetry overhead, instrumented vs not      | [`e20`]|
 //! | E21 | serving: cross-batch result cache + plan memo under Zipf    | [`e21`]|

@@ -1,6 +1,9 @@
-//! Timing and table-rendering utilities shared by all experiments.
+//! Timing and table-rendering utilities shared by all experiments, and
+//! the open-loop [`load`] harness shared by the serving experiments.
 
 use std::time::{Duration, Instant};
+
+pub mod load;
 
 /// Experiment scale: `Quick` finishes in seconds (CI-friendly); `Full`
 /// uses the FT-scale collection the paper's numbers refer to.

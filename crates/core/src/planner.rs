@@ -13,7 +13,7 @@
 //!    frequencies, fragment residency and volumes, index availability, N —
 //!    exactly the information available "early in the query plan",
 //! 2. [`Planner::plan`] prices every alternative with the session's
-//!    [`CostWeights`] and returns a [`PlanDecision`]: the chosen operator
+//!    [`CostWeights`](crate::cost::CostWeights) and returns a [`PlanDecision`]: the chosen operator
 //!    next to every rejected alternative and its estimate (EXPLAIN prints
 //!    this verbatim),
 //! 3. [`Planner::observe`] closes the loop: measured

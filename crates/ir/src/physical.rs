@@ -282,7 +282,7 @@ pub struct EngineSet {
     scratch: QueryScratch,
 }
 
-// The serving layer moves engine sets onto scoped shard threads and
+// The serving layer moves engine sets onto shard worker threads and
 // shares kernels and thresholds across them; pin the thread-safety of the
 // whole engine stack at compile time so a non-Send field can never sneak
 // in and silently un-thread the shard executor.

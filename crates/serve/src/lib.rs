@@ -15,9 +15,10 @@
 //!   and zero-allocation scratch arena for the life of the stream, a
 //!   submission queue with batched admission ([`ShardPool::submit`] →
 //!   [`BatchTicket`]), and drain-on-shutdown that hands the shards back.
-//!   This replaced the scoped-thread-per-batch path for serving: spawn/
-//!   join per batch cost more than the queries themselves (the E16 wall
-//!   regression; E18 gates the pool against both alternatives);
+//!   It is the only concurrent runtime: spawning threads per batch cost
+//!   more than the queries themselves (the E16 wall regression), and
+//!   E18 gates the pool against the sequential schedule [`ShardedEngine`]
+//!   runs on the caller's thread;
 //! * cross-shard **bound propagation** — one
 //!   [`moa_ir::SharedThreshold`] per query carries each shard's running
 //!   N-th score to all others, so the `would_enter`/block-max pruning

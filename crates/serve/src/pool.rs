@@ -1,11 +1,11 @@
 //! The persistent per-shard worker pool: the serving runtime.
 //!
-//! [`ShardedEngine::execute_batch`] spawns one scoped thread per shard
-//! *per batch*. That is correct but pays thread spawn/join on every
-//! submission — on this class of host roughly 100–150µs per thread,
-//! several times the cost of serving a typical query — which is exactly
-//! the wall-time regression E16 measured (0.44–0.76× sequential at 2–8
-//! shards). [`ShardPool`] removes the per-batch setup entirely:
+//! Spawning one thread per shard *per batch* is correct but pays thread
+//! spawn/join on every submission, several times the cost of serving a
+//! typical query (E16 measured such a runtime at 0.44–0.76× sequential
+//! at 2–8 shards). [`ShardPool`] removes the per-batch setup entirely, and is
+//! the crate's only concurrent runtime; [`ShardedEngine`] stays as the
+//! sequential reference it is tested against:
 //!
 //! * **One long-lived worker thread per shard.** Construction parks each
 //!   [`EngineShard`] — its fragmented table, engine set, planner, and
@@ -63,9 +63,9 @@
 //! * **Identical answers.** Workers run the same
 //!   [`EngineShard::run_one`](crate::shard::EngineShard) column loop and
 //!   the ticket folds columns with the same tie-stable
-//!   [`merge_columns`] as the scoped and sequential paths, under the same
-//!   per-query [`BoundGate`]s — so pooled responses are bit-identical to
-//!   both, and (for exact plans) to a single unsharded engine. The
+//!   [`merge_columns`] as the sequential path, under the same per-query
+//!   [`BoundGate`]s — so pooled responses are bit-identical to it, and
+//!   (for exact plans) to a single unsharded engine. The
 //!   `pool_oracle` differential test pins this across plans × models ×
 //!   shard counts × propagation.
 //! * **Drain on shutdown.** `mpsc` receivers keep yielding buffered
@@ -958,7 +958,7 @@ impl ShardPool {
     /// enqueue the job on every worker, and return a [`BatchTicket`]
     /// without waiting. Workers run their columns concurrently; with
     /// `propagate`, shards prune against each other's running thresholds
-    /// exactly as the scoped path does.
+    /// mid-flight.
     ///
     /// Refusal is all-or-nothing: [`ServeError::Shed`] means *no* worker
     /// received the batch (acquired slots are rolled back), so a shed

@@ -11,9 +11,7 @@
 //! shard and renders the per-shard plan table without executing anything.
 //!
 //! Shard workers are long-lived: batch submission costs two `mpsc` sends
-//! per shard, not a thread spawn/join — the regression the scoped-thread
-//! runtime paid per batch (see [`crate::pool`]) and the E18 sustained-load
-//! harness now gates against.
+//! per shard, not a thread spawn/join per batch (see [`crate::pool`]).
 //!
 //! Overload and failure semantics ride through from the pool: admission
 //! is bounded ([`ServeConfig::queue_depth`], [`ServeConfig::admission`]),

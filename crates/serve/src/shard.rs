@@ -4,8 +4,14 @@
 //! parallel conclusion: the collection is *document*-partitioned into P
 //! shards, each shard gets its own df-fragmented term–document table and
 //! [`EngineSet`] (all four physical paths), and a query runs on every
-//! shard concurrently on scoped threads. Three properties make the merged
-//! answer bit-identical to a single unsharded engine:
+//! shard. The engine executes shards one after another on the caller's
+//! thread ([`ShardedEngine::execute_batch_sequential`]) — the
+//! deterministic bit-identity reference. Concurrent serving hands the
+//! same [`EngineShard`]s to the persistent worker pool
+//! ([`ShardedEngine::into_parts`] → [`crate::pool::ShardPool`]), which
+//! runs the same per-shard column loop and the same [`merge_columns`].
+//! Three properties make the merged answer bit-identical to a single
+//! unsharded engine:
 //!
 //! 1. **Global catalog, local postings** —
 //!    [`InvertedIndex::shard_by_docs`] keeps every ranking-model input
@@ -22,10 +28,10 @@
 //!
 //! Each shard's [`EngineSet`] owns its own `moa_ir::QueryScratch` — the
 //! zero-allocation query arena of the block-compressed posting layout —
-//! so a serving deployment gets one scratch pool per shard thread for
-//! free: shard threads never contend on allocator locks in steady state,
-//! and a batch's queries reuse the same cursor decode buffers and heap
-//! storage across the whole batch.
+//! so a serving deployment gets one scratch arena per shard worker for
+//! free: workers never contend on allocator locks in steady state, and a
+//! batch's queries reuse the same cursor decode buffers and heap storage
+//! across the whole batch.
 //!
 //! Per-shard physical planning falls out of the same construction: each
 //! shard owns a `moa_core` [`Planner`] fed by *shard-local* work figures
@@ -35,7 +41,6 @@
 //! measured [`ExecReport`] calibrates only its own planner.
 
 use std::sync::Arc;
-use std::thread;
 use std::time::{Duration, Instant};
 
 use moa_core::{Planner, Result};
@@ -45,13 +50,12 @@ use moa_ir::{
 };
 use moa_obs::{Phase, PhaseAgg};
 use moa_topn::kway_merge_sorted;
-use parking_lot::Mutex;
 
 use crate::fault::{ServeError, ServeResult};
 
 /// One shard's result column for a batch: entry `i` answers query `i`.
-/// Produced by the worker pool and the scoped/sequential paths alike;
-/// folded per query by [`merge_columns`].
+/// Produced by the worker pool and the sequential path alike; folded per
+/// query by [`merge_columns`].
 pub type ShardColumn = Vec<ServeResult<ShardOutcome>>;
 
 /// How documents are assigned to shards.
@@ -300,8 +304,10 @@ impl EngineShard {
     }
 }
 
-/// A document-partitioned retrieval engine: P shards executed on scoped
-/// threads with optional cross-shard threshold propagation.
+/// A document-partitioned retrieval engine: P shards executed one after
+/// another on the caller's thread, with optional cross-shard threshold
+/// propagation. The bit-identity reference for the worker pool, which
+/// takes over its shards for concurrent serving.
 pub struct ShardedEngine {
     shards: Vec<EngineShard>,
     spec: ShardSpec,
@@ -380,7 +386,7 @@ impl ShardedEngine {
     }
 
     /// Execute one query across all shards. See
-    /// [`ShardedEngine::execute_batch`].
+    /// [`ShardedEngine::execute_batch_sequential`].
     pub fn execute(
         &mut self,
         terms: &[u32],
@@ -392,66 +398,20 @@ impl ShardedEngine {
             terms: terms.to_vec(),
             n,
         }];
-        let mut responses = self.execute_batch(&queries, mode, propagate)?;
+        let mut responses = self.execute_batch_sequential(&queries, mode, propagate)?;
         Ok(responses.pop().expect("one response per submitted query"))
     }
 
-    /// Execute a batch of queries: one scoped thread per shard works
-    /// through the whole batch (amortizing spawn cost across the batch),
-    /// shard results land in a `parking_lot`-guarded slot table, and each
-    /// query's shard-local heaps are folded with the tie-stable k-way
-    /// merge. With `propagate`, every query gets one [`SharedThreshold`]
-    /// that all shards prune against mid-flight; without it, shards run
-    /// oblivious of each other (the ablation E16 measures).
-    pub fn execute_batch(
-        &mut self,
-        queries: &[BatchQuery],
-        mode: ServeMode,
-        propagate: bool,
-    ) -> ServeResult<Vec<QueryResponse>> {
-        // With one shard there is no peer to propagate to or from:
-        // the gate would only echo the local heap at atomic-load cost.
-        let gates = gates(queries, propagate && self.shards.len() > 1);
-        let num_shards = self.shards.len();
-        // One slot per shard; each thread owns exactly one slot, the
-        // mutex makes the cross-thread hand-off safe and keeps the shim's
-        // `parking_lot` API in the loop.
-        let slots: Mutex<Vec<Option<ShardColumn>>> =
-            Mutex::new((0..num_shards).map(|_| None).collect());
-        thread::scope(|scope| {
-            for shard in self.shards.iter_mut() {
-                let gates = &gates;
-                let slots = &slots;
-                scope.spawn(move || {
-                    let outcomes: ShardColumn = queries
-                        .iter()
-                        .enumerate()
-                        .map(|(qi, q)| {
-                            shard
-                                .run_one(q, mode, &gates[qi])
-                                .map_err(ServeError::Engine)
-                        })
-                        .collect();
-                    let id = shard.id;
-                    slots.lock()[id] = Some(outcomes);
-                });
-            }
-        });
-
-        let mut per_shard: Vec<ShardColumn> = Vec::with_capacity(num_shards);
-        for slot in slots.into_inner() {
-            per_shard.push(slot.expect("every scoped shard thread fills its slot before joining"));
-        }
-        merge_columns(queries, per_shard).into_iter().collect()
-    }
-
-    /// [`ShardedEngine::execute_batch`] without threads: shards run one
-    /// after another on the caller's thread, in shard order. Answers are
-    /// identical; with propagation the thresholds published by earlier
-    /// shards reach later shards deterministically, so work counters and
-    /// per-shard busy times are *reproducible* — the profiling mode the
-    /// E16 experiment uses for its committed figures (on an oversubscribed
-    /// host, scoped-thread busy intervals absorb scheduler preemption).
+    /// Execute a batch of queries on the caller's thread: shards run one
+    /// after another in shard order, and each query's shard-local heaps
+    /// are folded with the tie-stable k-way merge. With `propagate`,
+    /// every query gets one [`SharedThreshold`] that later shards prune
+    /// against; without it, shards run oblivious of each other (the
+    /// ablation E16 measures). Thresholds published by earlier shards
+    /// reach later shards deterministically, so work counters and
+    /// per-shard busy times are *reproducible* — the bit-identity
+    /// reference the worker pool is tested against and the profiling
+    /// mode E16 uses for its committed figures.
     pub fn execute_batch_sequential(
         &mut self,
         queries: &[BatchQuery],
@@ -514,9 +474,9 @@ pub(crate) fn gates(queries: &[BatchQuery], propagate: bool) -> Vec<BoundGate> {
 
 /// Fold per-shard outcome columns into per-query results: tie-stable
 /// k-way merge of the shard-local heaps plus counter aggregation. Shared
-/// by the scoped-thread paths, the sequential profiling path, and the
-/// worker pool (whose tickets expose the raw columns so callers may defer
-/// this merge off the service critical path).
+/// by the sequential reference path and the worker pool (whose tickets
+/// expose the raw columns so callers may defer this merge off the
+/// service critical path).
 ///
 /// Failures are **per query**: a query every shard answered merges into
 /// an `Ok` response even when its batch-mates failed, and a failed
@@ -682,7 +642,7 @@ mod tests {
             .collect();
         let mut a = engine(&idx, ShardSpec::Range { shards: 2 });
         let batched = a
-            .execute_batch(&batch, ServeMode::Planned, true)
+            .execute_batch_sequential(&batch, ServeMode::Planned, true)
             .expect("in-vocabulary batch");
         let mut b = engine(&idx, ShardSpec::Range { shards: 2 });
         for (i, q) in batch.iter().enumerate() {

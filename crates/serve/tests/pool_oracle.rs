@@ -32,13 +32,13 @@ fn fixture() -> (Collection, Arc<InvertedIndex>, Vec<Query>) {
 
 fn session(
     idx: &Arc<InvertedIndex>,
-    shards: usize,
+    shard_spec: ShardSpec,
     mode: ServeMode,
     model: RankingModel,
     propagate: bool,
 ) -> ServeSession {
     let config = ServeConfig {
-        shard_spec: ShardSpec::Range { shards },
+        shard_spec,
         model,
         mode,
         propagate,
@@ -50,7 +50,7 @@ fn session(
         // would break this suite's oracle-exactness contract on workloads
         // that happen to produce such queries.
         policy: SwitchPolicy { max_b_share: 0.0 },
-        ..ServeConfig::planned(shards)
+        ..ServeConfig::planned(shard_spec.shards())
     };
     ServeSession::new(Arc::clone(idx), config).expect("tiny index shards cleanly")
 }
@@ -138,8 +138,10 @@ fn pooled_batches_match_sequential_and_oracle_for_every_plan_model_and_shard_cou
             for propagate in [false, true] {
                 for plan in pinned_plans() {
                     let mode = ServeMode::Fixed(plan);
-                    let mut pooled = session(&idx, shards, mode, model, propagate);
-                    let mut reference = session(&idx, shards, mode, model, propagate);
+                    let mut pooled =
+                        session(&idx, ShardSpec::Range { shards }, mode, model, propagate);
+                    let mut reference =
+                        session(&idx, ShardSpec::Range { shards }, mode, model, propagate);
                     let got = pooled
                         .submit_many(&batch)
                         .expect("blocking admission never sheds");
@@ -178,12 +180,18 @@ fn pooled_batches_match_sequential_and_oracle_for_every_plan_model_and_shard_cou
 fn planned_pool_matches_the_naive_oracle_across_shard_counts() {
     // The production posture: per-shard planners picking freely,
     // propagation on, pool admission. Whatever operators win, answers
-    // must be the oracle's.
+    // must be the oracle's — under both partitionings, so round-robin
+    // shards are exercised concurrently too.
     let (c, idx, queries) = fixture();
-    for shards in [1usize, 3, 4] {
+    for spec in [
+        ShardSpec::Range { shards: 1 },
+        ShardSpec::Range { shards: 3 },
+        ShardSpec::Range { shards: 4 },
+        ShardSpec::RoundRobin { shards: 4 },
+    ] {
         let mut svc = session(
             &idx,
-            shards,
+            spec,
             ServeMode::Planned,
             RankingModel::default(),
             true,
@@ -193,8 +201,10 @@ fn planned_pool_matches_the_naive_oracle_across_shard_counts() {
                 let got = svc.submit(&q.terms, n).expect("in-vocabulary query");
                 let oracle = naive_topn(&c, RankingModel::default(), &q.terms, n);
                 assert_eq!(
-                    got.top, oracle,
-                    "planned x{shards} n={n} terms {:?}",
+                    got.top,
+                    oracle,
+                    "planned {} n={n} terms {:?}",
+                    spec.describe(),
                     q.terms
                 );
             }
@@ -242,14 +252,14 @@ fn coalesced_duplicates_match_per_position_execution_bit_for_bit() {
     for shards in [1usize, 3] {
         let mut pooled = session(
             &idx,
-            shards,
+            ShardSpec::Range { shards },
             ServeMode::Planned,
             RankingModel::default(),
             true,
         );
         let mut reference = session(
             &idx,
-            shards,
+            ShardSpec::Range { shards },
             ServeMode::Planned,
             RankingModel::default(),
             true,
@@ -298,14 +308,14 @@ fn streaming_enqueue_collect_overlap_matches_one_shot_submission() {
         .collect();
     let mut streamed = session(
         &idx,
-        4,
+        ShardSpec::Range { shards: 4 },
         ServeMode::Fixed(PhysicalPlan::PrunedDaat),
         RankingModel::default(),
         true,
     );
     let mut oneshot = session(
         &idx,
-        4,
+        ShardSpec::Range { shards: 4 },
         ServeMode::Fixed(PhysicalPlan::PrunedDaat),
         RankingModel::default(),
         true,
@@ -357,7 +367,7 @@ fn shutdown_drains_in_flight_batches_and_returns_the_calibrated_shards() {
     // so the arenas' lifetime counters account for the whole stream.
     let mut svc = session(
         &idx,
-        shards,
+        ShardSpec::Range { shards },
         ServeMode::Fixed(PhysicalPlan::PrunedDaat),
         RankingModel::default(),
         true,

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
 use moa_ir::{FragmentSpec, InvertedIndex, PhysicalPlan, RankingModel, Strategy, SwitchPolicy};
-use moa_serve::{BatchQuery, ServeMode, ShardSpec, ShardedEngine};
+use moa_serve::{BatchQuery, ServeConfig, ServeMode, ServeSession, ShardSpec, ShardedEngine};
 
 fn fixture() -> (Collection, Arc<InvertedIndex>, Vec<Query>) {
     let c = Collection::generate(CollectionConfig::tiny()).expect("valid preset");
@@ -150,10 +150,16 @@ fn propagation_ablation_preserves_answers_for_every_plan() {
 #[test]
 fn batched_and_planned_execution_matches_the_pinned_reference() {
     // The production posture (planner per shard, propagation on, batched
-    // submission) answers exactly like the pinned exhaustive reference.
-    let (c, idx, queries) = fixture();
+    // submission through the worker pool that serves) answers exactly
+    // like the pinned exhaustive reference.
+    let (_, idx, queries) = fixture();
     let mut reference = engine(&idx, ShardSpec::Range { shards: 1 });
-    let mut serving = engine(&idx, ShardSpec::Range { shards: 4 });
+    let config = ServeConfig {
+        frag_spec: FragmentSpec::TermFraction(0.9),
+        sparse_block: Some(64),
+        ..ServeConfig::planned(4)
+    };
+    let mut serving = ServeSession::new(Arc::clone(&idx), config).expect("tiny index shards");
     let batch: Vec<BatchQuery> = queries
         .iter()
         .map(|q| BatchQuery {
@@ -161,9 +167,10 @@ fn batched_and_planned_execution_matches_the_pinned_reference() {
             n: 10,
         })
         .collect();
-    let responses = serving
-        .execute_batch(&batch, ServeMode::Planned, true)
-        .expect("in-vocabulary batch");
+    let report = serving
+        .submit_many(&batch)
+        .expect("blocking admission never sheds");
+    let responses = report.expect_ok();
     assert_eq!(responses.len(), batch.len());
     for (i, q) in queries.iter().enumerate() {
         let want = reference
@@ -181,7 +188,6 @@ fn batched_and_planned_execution_matches_the_pinned_reference() {
             assert!(o.est_cost.is_some());
         }
     }
-    let _ = c;
 }
 
 #[test]
