@@ -19,16 +19,12 @@
 //! from this PR on.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::sync::{Arc, OnceLock};
 
 use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, Query, QueryConfig};
-use moa_ir::{
-    BoundGate, DaatSearcher, ExecReport, ExhaustiveDaatOp, InvertedIndex, PrunedDaatOp,
-    QueryScratch, RankingModel, RetrievalOp, ScoreKernel,
-};
+use moa_ir::{BoundGate, DaatSearcher, ExecReport, InvertedIndex, QueryScratch, RankingModel};
 use moa_topn::TopNHeap;
 
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{fmt_duration, time_best_interleaved, Scale, Table};
 
 /// Ranking depth: the paper's canonical "first screen of hits" regime,
@@ -36,8 +32,8 @@ use crate::harness::{fmt_duration, time_best_interleaved, Scale, Table};
 const TOP_N: usize = 10;
 
 /// One measured (query mix × ranking model) configuration. Work totals
-/// are aggregated [`ExecReport`]s from the unified physical operators —
-/// no per-field counter copying.
+/// are aggregated [`ExecReport`]s — the physical layer's unified
+/// counters, no per-field counter copying.
 pub struct CaseResult {
     /// Query-mix label (`topical`, `trec_like`, `frequent_only`).
     pub mix: &'static str,
@@ -218,21 +214,8 @@ pub fn measure(scale: Scale) -> Vec<CaseResult> {
 
         for (model_label, model) in ranking_models() {
             // One kernel and one (lazily built) bound-table set per
-            // (index, model), shared by every searcher view — the sharing
-            // the physical layer's `with_shared` constructors exist for.
-            let kernel = Arc::new(ScoreKernel::new(model, &index));
-            let bounds = Arc::new(OnceLock::new());
-            let daat = DaatSearcher::with_shared(&index, Arc::clone(&kernel), Arc::clone(&bounds));
-            let mut pruned_op = PrunedDaatOp(DaatSearcher::with_shared(
-                &index,
-                Arc::clone(&kernel),
-                Arc::clone(&bounds),
-            ));
-            let mut exhaustive_op = ExhaustiveDaatOp(DaatSearcher::with_shared(
-                &index,
-                Arc::clone(&kernel),
-                Arc::clone(&bounds),
-            ));
+            // (index, model), shared by the pruned and exhaustive paths.
+            let daat = DaatSearcher::new(&index, model);
 
             // Flat runs for the seed baseline, decoded outside the timed
             // region: the seed's storage was flat, so its merge never paid
@@ -246,8 +229,11 @@ pub fn measure(scale: Scale) -> Vec<CaseResult> {
             let mut pruned_total = ExecReport::default();
             let mut exhaustive_total = ExecReport::default();
             for q in &queries {
-                let pruned = pruned_op.execute(&q.terms, TOP_N).expect("valid query");
-                let full = exhaustive_op.execute(&q.terms, TOP_N).expect("valid query");
+                let pruned = ExecReport::from(daat.search(&q.terms, TOP_N).expect("valid query"));
+                let full = ExecReport::from(
+                    daat.search_exhaustive(&q.terms, TOP_N)
+                        .expect("valid query"),
+                );
                 assert_eq!(
                     pruned.top, full.top,
                     "pruned DAAT diverged ({mix_label}, {model_label}, {:?})",
@@ -314,40 +300,27 @@ pub fn measure(scale: Scale) -> Vec<CaseResult> {
     results
 }
 
-/// Render the measurement matrix as machine-readable JSON.
-pub fn to_json(scale: Scale, results: &[CaseResult]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"e14\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(out, "  \"top_n\": {TOP_N},");
-    let _ = writeln!(out, "  \"cases\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"mix\": \"{}\", \"model\": \"{}\", \
-             \"postings_exhaustive\": {}, \"postings_pruned\": {}, \
-             \"docs_skipped\": {}, \"seeks\": {}, \"bound_exits\": {}, \
-             \"scan_reduction\": {:.3}, \"time_speedup_vs_naive\": {:.3}, \
-             \"prune_overhead_ratio\": {:.3}, \
-             \"wall_ns_naive\": {}, \"wall_ns_exhaustive\": {}, \"wall_ns_pruned\": {}}}{comma}",
-            r.mix,
-            r.model,
-            r.exhaustive.postings_scanned,
-            r.pruned.postings_scanned,
-            r.pruned.docs_skipped,
-            r.pruned.seeks,
-            r.pruned.bound_exits,
-            r.scan_reduction(),
-            r.time_speedup_vs_naive(),
-            r.prune_overhead_ratio(),
-            r.wall_naive.as_nanos(),
-            r.wall_exhaustive.as_nanos(),
-            r.wall_pruned.as_nanos(),
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_daat.json` document of a measurement matrix.
+pub fn document(scale: Scale, results: &[CaseResult]) -> Value {
+    let cases = results.iter().map(|r| {
+        Value::obj()
+            .with("mix", r.mix)
+            .with("model", r.model)
+            .with("postings_exhaustive", r.exhaustive.postings_scanned)
+            .with("postings_pruned", r.pruned.postings_scanned)
+            .with("docs_skipped", r.pruned.docs_skipped)
+            .with("seeks", r.pruned.seeks)
+            .with("bound_exits", r.pruned.bound_exits)
+            .with("scan_reduction", fixed(r.scan_reduction(), 3))
+            .with("time_speedup_vs_naive", fixed(r.time_speedup_vs_naive(), 3))
+            .with("prune_overhead_ratio", fixed(r.prune_overhead_ratio(), 3))
+            .with("wall_ns_naive", r.wall_naive.as_nanos())
+            .with("wall_ns_exhaustive", r.wall_exhaustive.as_nanos())
+            .with("wall_ns_pruned", r.wall_pruned.as_nanos())
+    });
+    record::header("e14", Some(scale))
+        .with("top_n", TOP_N)
+        .with("cases", cases.collect::<Value>())
 }
 
 /// Enforce the trec_like prune-overhead gate at the scale-appropriate
@@ -382,12 +355,7 @@ pub fn run(scale: Scale) -> Table {
 
     // Write the artifact before gating so a gate failure still leaves the
     // measured rows on disk for inspection.
-    let json = to_json(scale, &results);
-    let json_path =
-        std::env::var("MOA_BENCH_DAAT_JSON").unwrap_or_else(|_| "BENCH_daat.json".to_owned());
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e14: could not write {json_path}: {e}");
-    }
+    let json_path = record::write("BENCH_daat.json", &document(scale, &results));
 
     let gate_ceiling = assert_prune_overhead_gate(&results, scale);
 
@@ -504,7 +472,7 @@ mod tests {
     #[test]
     fn e14_json_is_well_formed() {
         let results = quick();
-        let json = to_json(Scale::Quick, results);
+        let json = document(Scale::Quick, results).render();
         assert!(json.contains("\"experiment\": \"e14\""));
         assert_eq!(json.matches("{\"mix\"").count(), results.len());
         // Balanced braces/brackets (cheap structural sanity).

@@ -19,7 +19,6 @@
 //! otherwise.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -30,6 +29,7 @@ use moa_ir::{
     RankingModel, SwitchPolicy,
 };
 
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{Scale, Table};
 
 /// Ranking depth (the paper's first-screen regime, where strategies differ
@@ -213,59 +213,40 @@ pub fn measure(scale: Scale) -> Vec<MixResult> {
     results
 }
 
-/// Render the results as machine-readable JSON.
-pub fn to_json(scale: Scale, results: &[MixResult]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"e15\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(out, "  \"top_n\": {TOP_N},");
-    let _ = writeln!(out, "  \"mixes\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
-        let picks: Vec<String> = r
-            .picks
-            .iter()
-            .map(|(name, count)| format!("\"{name}\": {count}"))
-            .collect();
-        let walls: Vec<String> = r
+/// The `BENCH_planner.json` document of the per-mix results.
+pub fn document(scale: Scale, results: &[MixResult]) -> Value {
+    let mixes = results.iter().map(|r| {
+        let walls = r
             .strategy_wall
             .iter()
-            .map(|(name, wall)| format!("\"{name}\": {}", wall.as_micros()))
-            .collect();
-        let _ = writeln!(
-            out,
-            "    {{\"mix\": \"{}\", \"queries\": {}, \"matches\": {}, \
-             \"match_rate\": {:.3}, \"chosen_postings\": {}, \"best_postings\": {}, \
-             \"regression\": {:.4}, \"calibrated_prune\": {:.4}, \
-             \"chosen_wall_us\": {}, \"strategy_wall_us\": {{{}}}, \
-             \"picks\": {{{}}}}}{comma}",
-            r.mix,
-            r.queries,
-            r.matches,
-            r.match_rate(),
-            r.chosen_postings,
-            r.best_postings,
-            r.regression(),
-            r.calibrated_prune,
-            r.chosen_wall.as_micros(),
-            walls.join(", "),
-            picks.join(", "),
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+            .map(|(name, wall)| ((*name).to_owned(), Value::from(wall.as_micros())));
+        let picks = r
+            .picks
+            .iter()
+            .map(|(name, count)| ((*name).to_owned(), Value::from(*count)));
+        Value::obj()
+            .with("mix", r.mix)
+            .with("queries", r.queries)
+            .with("matches", r.matches)
+            .with("match_rate", fixed(r.match_rate(), 3))
+            .with("chosen_postings", r.chosen_postings)
+            .with("best_postings", r.best_postings)
+            .with("regression", fixed(r.regression(), 4))
+            .with("calibrated_prune", fixed(r.calibrated_prune, 4))
+            .with("chosen_wall_us", r.chosen_wall.as_micros())
+            .with("strategy_wall_us", Value::Obj(walls.collect()))
+            .with("picks", Value::Obj(picks.collect()))
+    });
+    record::header("e15", Some(scale))
+        .with("top_n", TOP_N)
+        .with("mixes", mixes.collect::<Value>())
 }
 
 /// Run E15, emit `BENCH_planner.json`, and enforce the acceptance gate.
 pub fn run(scale: Scale) -> Table {
     let results = measure(scale);
 
-    let json = to_json(scale, &results);
-    let json_path =
-        std::env::var("MOA_BENCH_PLANNER_JSON").unwrap_or_else(|_| "BENCH_planner.json".to_owned());
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e15: could not write {json_path}: {e}");
-    }
+    let json_path = record::write("BENCH_planner.json", &document(scale, &results));
 
     let mut t = Table::new(
         "E15: cost-driven planner pick vs best-in-hindsight (postings scanned)",
@@ -360,7 +341,7 @@ mod tests {
     #[test]
     fn e15_json_is_well_formed() {
         let results = quick();
-        let json = to_json(Scale::Quick, results);
+        let json = document(Scale::Quick, results).render();
         assert!(json.contains("\"experiment\": \"e15\""));
         assert_eq!(json.matches("{\"mix\"").count(), results.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -38,7 +38,6 @@
 //! oblivious mode, and the 4-shard propagating critical path must beat
 //! the single shard — the run (and CI's E16 smoke) fails otherwise.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
@@ -47,6 +46,7 @@ use moa_corpus::{generate_queries, Collection, CollectionConfig, DfBias, QueryCo
 use moa_ir::InvertedIndex;
 use moa_serve::{BatchQuery, ServeConfig, ServeSession, ShardSpec};
 
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{fmt_duration, Scale, Table};
 
 /// Ranking depth. Deep enough that ranking is real work per shard (the
@@ -176,67 +176,44 @@ fn baseline(results: &[ServingResult], propagate: bool) -> &ServingResult {
         .expect("shard count 1 is always measured")
 }
 
-/// Render the results as machine-readable JSON.
-pub fn to_json(scale: Scale, results: &[ServingResult]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"e16\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(out, "  \"top_n\": {TOP_N},");
-    let _ = writeln!(out, "  \"partition\": \"range\",");
-    let _ = writeln!(out, "  \"notes\": [");
-    let _ = writeln!(
-        out,
-        "    \"wall_us and measured_wall_speedup were removed: they timed the retired \
+/// The `BENCH_serving.json` document of the sweep.
+pub fn document(scale: Scale, results: &[ServingResult]) -> Value {
+    let notes = [
+        "wall_us and measured_wall_speedup were removed: they timed the retired \
          scoped-thread-per-batch runtime, which paid a thread spawn/join per shard per batch and \
          measured 0.44-0.76x the sequential wall at 2-8 shards -- a regression the old gate \
-         certified as a speedup\","
-    );
-    let _ = writeln!(
-        out,
-        "    \"end-to-end serving throughput and latency are measured under sustained load by \
+         certified as a speedup",
+        "end-to-end serving throughput and latency are measured under sustained load by \
          E18 (BENCH_throughput.json) on the persistent shard worker pool that replaced the \
-         scoped path\","
-    );
-    let _ = writeln!(
-        out,
-        "    \"critical_path_us comes from deterministic sequential profiling replays: the \
-         busiest shard's summed busy time, the wall-clock floor for one core per shard\""
-    );
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(out, "  \"configs\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
+         scoped path",
+        "critical_path_us comes from deterministic sequential profiling replays: the \
+         busiest shard's summed busy time, the wall-clock floor for one core per shard",
+    ];
+    let configs = results.iter().map(|r| {
         let base = baseline(results, r.propagate);
         let speedup = base.critical_path.as_secs_f64() / r.critical_path.as_secs_f64().max(1e-12);
         let overhead = r.postings as f64 / base.postings.max(1) as f64 - 1.0;
-        let _ = writeln!(
-            out,
-            "    {{\"shards\": {}, \"propagate\": {}, \"queries\": {}, \
-             \"critical_path_us\": {}, \"speedup_vs_single\": {:.3}, \
-             \"postings_scanned\": {}, \"postings_overhead_vs_single\": {:.4}}}{comma}",
-            r.shards,
-            r.propagate,
-            r.queries,
-            r.critical_path.as_micros(),
-            speedup,
-            r.postings,
-            overhead,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Value::obj()
+            .with("shards", r.shards)
+            .with("propagate", r.propagate)
+            .with("queries", r.queries)
+            .with("critical_path_us", r.critical_path.as_micros())
+            .with("speedup_vs_single", fixed(speedup, 3))
+            .with("postings_scanned", r.postings)
+            .with("postings_overhead_vs_single", fixed(overhead, 4))
+    });
+    record::header("e16", Some(scale))
+        .with("top_n", TOP_N)
+        .with("partition", "range")
+        .with("notes", notes.into_iter().collect::<Value>())
+        .with("configs", configs.collect::<Value>())
 }
 
 /// Run E16, emit `BENCH_serving.json`, and enforce the gates.
 pub fn run(scale: Scale) -> Table {
     let results = measure(scale);
 
-    let json = to_json(scale, &results);
-    let json_path =
-        std::env::var("MOA_BENCH_SERVING_JSON").unwrap_or_else(|_| "BENCH_serving.json".to_owned());
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e16: could not write {json_path}: {e}");
-    }
+    let json_path = record::write("BENCH_serving.json", &document(scale, &results));
 
     let mut t = Table::new(
         "E16: sharded serving scaling (shards x threshold propagation)",
@@ -355,7 +332,7 @@ mod tests {
     #[test]
     fn e16_json_is_well_formed() {
         let results = quick();
-        let json = to_json(Scale::Quick, results);
+        let json = document(Scale::Quick, results).render();
         assert!(json.contains("\"experiment\": \"e16\""));
         assert!(json.contains("\"notes\""));
         // The retired metrics may be *mentioned* in the notes (that is

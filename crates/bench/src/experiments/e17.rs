@@ -28,14 +28,17 @@
 //! [`FULL_BEST_SPEEDUP_FLOOR`]x the seed's naive merge) cannot silently
 //! rot while only Quick runs.
 
-use std::fmt::Write as _;
 use std::time::Duration;
 
 use moa_corpus::{Collection, CollectionConfig};
 use moa_ir::{BlockBound, InvertedIndex};
 
 use crate::experiments::e14::{self, CaseResult};
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{time_best_interleaved, Scale, Table};
+
+/// The artifact E17 gates against and rewrites.
+const ARTIFACT: &str = "BENCH_blocks.json";
 
 /// Maximum allowed slowdown of bulk decode throughput vs the committed
 /// `BENCH_blocks.json` (CI hosts vary; 2.5x flags a real regression, not
@@ -144,112 +147,60 @@ pub fn measure_decode(scale: Scale) -> DecodeResult {
     }
 }
 
-/// Render one scale's measurements as a JSON object (no trailing
-/// newline) — the `"quick"` / `"full"` section body of
+/// One scale's measurements: the `"quick"` / `"full"` section of
 /// `BENCH_blocks.json`.
-pub fn section_json(decode: &DecodeResult, cases: &[CaseResult]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "    \"postings\": {},", decode.postings);
-    let _ = writeln!(out, "    \"decode_ns_per_posting\": {:.3},", decode.bulk_ns);
-    let _ = writeln!(
-        out,
-        "    \"cursor_ns_per_posting\": {:.3},",
-        decode.cursor_ns
-    );
-    let _ = writeln!(
-        out,
-        "    \"bytes_per_posting\": {:.3},",
-        decode.bytes_per_posting
-    );
-    let _ = writeln!(out, "    \"flat_bytes_per_posting\": 8.0,");
-    let _ = writeln!(out, "    \"cases\": [");
-    for (i, r) in cases.iter().enumerate() {
-        let comma = if i + 1 < cases.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "      {{\"mix\": \"{}\", \"model\": \"{}\", \"scan_reduction\": {:.3}, \
-             \"speedup_vs_naive\": {:.3}, \"prune_overhead_ratio\": {:.3}}}{comma}",
-            r.mix,
-            r.model,
-            r.scan_reduction(),
-            r.time_speedup_vs_naive(),
-            r.prune_overhead_ratio(),
-        );
-    }
-    out.push_str("    ]\n  }");
-    out
+pub fn section(decode: &DecodeResult, cases: &[CaseResult]) -> Value {
+    let cases = cases.iter().map(|r| {
+        Value::obj()
+            .with("mix", r.mix)
+            .with("model", r.model)
+            .with("scan_reduction", fixed(r.scan_reduction(), 3))
+            .with("speedup_vs_naive", fixed(r.time_speedup_vs_naive(), 3))
+            .with("prune_overhead_ratio", fixed(r.prune_overhead_ratio(), 3))
+    });
+    Value::obj()
+        .with("postings", decode.postings)
+        .with("decode_ns_per_posting", fixed(decode.bulk_ns, 3))
+        .with("cursor_ns_per_posting", fixed(decode.cursor_ns, 3))
+        .with("bytes_per_posting", fixed(decode.bytes_per_posting, 3))
+        .with("flat_bytes_per_posting", fixed(8.0, 1))
+        .with("cases", cases.collect::<Value>())
 }
 
-/// Assemble the combined two-section document from section bodies
-/// (either may be `None`, rendered as JSON `null`).
-pub fn combined_json(quick: Option<&str>, full: Option<&str>) -> String {
-    let mut out = String::from("{\n  \"experiment\": \"e17\",\n");
-    let _ = writeln!(out, "  \"quick\": {},", quick.unwrap_or("null"));
-    let _ = writeln!(out, "  \"full\": {}", full.unwrap_or("null"));
-    out.push_str("}\n");
-    out
+/// The two-section `BENCH_blocks.json` document (a missing section is
+/// `null`).
+pub fn document(quick: Option<Value>, full: Option<Value>) -> Value {
+    record::header("e17", None)
+        .with("quick", quick.unwrap_or_else(record::null))
+        .with("full", full.unwrap_or_else(record::null))
 }
 
-/// Extract the balanced-brace object following `"<key>":` from a
-/// committed combined document. Returns `None` for a missing key or a
-/// `null` section.
-pub fn section_of<'a>(json: &'a str, key: &str) -> Option<&'a str> {
-    let marker = format!("\"{key}\":");
-    let at = json.find(&marker)? + marker.len();
-    let rest = json[at..].trim_start();
-    if !rest.starts_with('{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Extract `"decode_ns_per_posting": <float>` from a section (no JSON
-/// dependency in the workspace; the field is written on one line).
-pub fn parse_decode_ns(json: &str) -> Option<f64> {
-    parse_f64_field(json, "decode_ns_per_posting")
-}
-
-fn parse_f64_field(json: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{field}\":");
-    let at = json.find(&key)? + key.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pull every bandwidth-bound case's `speedup_vs_naive` out of a
-/// section: one case per line, written by [`section_json`].
-pub fn parse_bandwidth_speedups(section: &str) -> Vec<f64> {
-    section
-        .lines()
-        .filter(|l| {
-            l.contains("\"mix\": \"trec_like\"") || l.contains("\"mix\": \"frequent_only\"")
+/// Every bandwidth-bound case's `speedup_vs_naive` in a written section.
+pub fn bandwidth_speedups(section: &Value) -> Vec<f64> {
+    let cases = section.get("cases").map_or(&[][..], Value::items);
+    cases
+        .iter()
+        .filter(|c| {
+            matches!(
+                c.get("mix").and_then(Value::as_str),
+                Some("trec_like" | "frequent_only")
+            )
         })
-        .filter_map(|l| parse_f64_field(l, "speedup_vs_naive"))
+        .filter_map(|c| c.get("speedup_vs_naive")?.as_f64())
         .collect()
 }
 
-fn assert_speedup_floors(cases: &[CaseResult], worst_floor: f64, best_floor: f64, label: &str) {
-    let band: Vec<f64> = cases
+/// The bandwidth-bound mixes' speedups over the seed's naive merge.
+fn fresh_bandwidth_speedups(cases: &[CaseResult]) -> Vec<f64> {
+    cases
         .iter()
         .filter(|r| r.mix == "trec_like" || r.mix == "frequent_only")
-        .map(|r| r.time_speedup_vs_naive())
-        .collect();
+        .map(CaseResult::time_speedup_vs_naive)
+        .collect()
+}
+
+fn assert_speedup_floors(band: &[f64], worst_floor: f64, best_floor: f64, label: &str) {
+    assert!(!band.is_empty(), "{label}: no bandwidth-mix cases");
     let worst = band.iter().copied().fold(f64::INFINITY, f64::min);
     let best = band.iter().copied().fold(0.0f64, f64::max);
     assert!(
@@ -266,16 +217,15 @@ fn assert_speedup_floors(cases: &[CaseResult], worst_floor: f64, best_floor: f64
 /// scale's section of `BENCH_blocks.json` (preserving the other
 /// section), and enforce the layout's acceptance gates.
 pub fn run(scale: Scale) -> Table {
-    let json_path =
-        std::env::var("MOA_BENCH_BLOCKS_JSON").unwrap_or_else(|_| "BENCH_blocks.json".to_owned());
     // Read the committed reference BEFORE overwriting it.
-    let committed = std::fs::read_to_string(&json_path).ok();
-    let my_key = match scale {
-        Scale::Quick => "quick",
-        Scale::Full => "full",
+    let committed = record::read(ARTIFACT);
+    let (my_key, other_key) = match scale {
+        Scale::Quick => ("quick", "full"),
+        Scale::Full => ("full", "quick"),
     };
-    let committed_mine = committed.as_deref().and_then(|j| section_of(j, my_key));
-    let committed_ns = committed_mine.and_then(parse_decode_ns);
+    let committed_ns = committed
+        .as_ref()
+        .and_then(|doc| doc.get(my_key)?.get("decode_ns_per_posting")?.as_f64());
 
     let decode = measure_decode(scale);
     let cases = e14::measure(scale);
@@ -294,16 +244,16 @@ pub fn run(scale: Scale) -> Table {
     }
 
     // Rewrite this scale's section, preserving the other verbatim.
-    let mine = section_json(&decode, &cases);
-    let other_key = if my_key == "quick" { "full" } else { "quick" };
-    let other = committed.as_deref().and_then(|j| section_of(j, other_key));
-    let json = match scale {
-        Scale::Quick => combined_json(Some(&mine), other),
-        Scale::Full => combined_json(other, Some(&mine)),
+    let mine = section(&decode, &cases);
+    let other = committed
+        .as_ref()
+        .and_then(|doc| doc.get(other_key))
+        .cloned();
+    let doc = match scale {
+        Scale::Quick => document(Some(mine), other),
+        Scale::Full => document(other, Some(mine)),
     };
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e17: could not write {json_path}: {e}");
-    }
+    let json_path = record::write(ARTIFACT, &doc);
 
     // Gate 2 — footprint, side tables (mini-block nibbles) included, at
     // this scale's bound.
@@ -334,29 +284,15 @@ pub fn run(scale: Scale) -> Table {
     // bandwidth-bound mixes, at this scale's floors.
     match scale {
         Scale::Quick => {
-            assert_speedup_floors(&cases, WORST_SPEEDUP_FLOOR, BEST_SPEEDUP_FLOOR, "quick");
+            let band = fresh_bandwidth_speedups(&cases);
+            assert_speedup_floors(&band, WORST_SPEEDUP_FLOOR, BEST_SPEEDUP_FLOOR, "quick");
             // Gate 5b — the *committed* Full section must keep meeting
             // its floors on every Quick CI run: the FT-scale claim is
             // re-checked even when only Quick is re-measured.
-            if let Some(full) = committed.as_deref().and_then(|j| section_of(j, "full")) {
-                let speedups = parse_bandwidth_speedups(full);
-                assert!(
-                    !speedups.is_empty(),
-                    "committed full section has no bandwidth-mix cases"
-                );
-                let worst = speedups.iter().copied().fold(f64::INFINITY, f64::min);
-                let best = speedups.iter().copied().fold(0.0f64, f64::max);
-                assert!(
-                    best >= FULL_BEST_SPEEDUP_FLOOR,
-                    "committed Full best speedup {best:.2}x below the \
-                     {FULL_BEST_SPEEDUP_FLOOR} floor"
-                );
-                assert!(
-                    worst >= FULL_WORST_SPEEDUP_FLOOR,
-                    "committed Full worst speedup {worst:.2}x below the \
-                     {FULL_WORST_SPEEDUP_FLOOR} floor"
-                );
-                if let Some(bytes) = parse_f64_field(full, "bytes_per_posting") {
+            if let Some(full) = committed.as_ref().and_then(|doc| doc.get("full")) {
+                let (worst, best) = (FULL_WORST_SPEEDUP_FLOOR, FULL_BEST_SPEEDUP_FLOOR);
+                assert_speedup_floors(&bandwidth_speedups(full), worst, best, "committed full");
+                if let Some(bytes) = full.get("bytes_per_posting").and_then(Value::as_f64) {
                     assert!(
                         bytes <= BYTES_PER_POSTING_GATE_FULL,
                         "committed Full footprint {bytes:.2} B/posting exceeds the \
@@ -366,8 +302,9 @@ pub fn run(scale: Scale) -> Table {
             }
         }
         Scale::Full => {
+            let band = fresh_bandwidth_speedups(&cases);
             assert_speedup_floors(
-                &cases,
+                &band,
                 FULL_WORST_SPEEDUP_FLOOR,
                 FULL_BEST_SPEEDUP_FLOOR,
                 "full",
@@ -469,14 +406,17 @@ mod tests {
         }
     }
 
+    fn decode_ns(section: &Value) -> Option<f64> {
+        section.get("decode_ns_per_posting")?.as_f64()
+    }
+
     #[test]
     fn json_shape_and_decode_ns_roundtrip() {
         let cases = vec![
             case("trec_like", 300, 200, 180),
             case("topical", 300, 200, 220),
         ];
-        let quick = section_json(&decode(), &cases);
-        let json = combined_json(Some(&quick), None);
+        let json = document(Some(section(&decode(), &cases)), None).render();
         assert!(json.contains("\"experiment\": \"e17\""));
         assert!(json.contains("\"full\": null"));
         assert_eq!(json.matches("{\"mix\"").count(), 2);
@@ -484,10 +424,11 @@ mod tests {
         assert_eq!(json.matches('[').count(), json.matches(']').count());
         // The committed-snapshot gate reads back exactly what was
         // written, from the right section.
-        let sect = section_of(&json, "quick").expect("quick section present");
-        assert_eq!(parse_decode_ns(sect), Some(3.25));
-        assert!(section_of(&json, "full").is_none());
-        assert_eq!(parse_decode_ns("no such field"), None);
+        let doc = record::parse(&json).expect("rendered document parses");
+        let sect = doc.get("quick").expect("quick section present");
+        assert_eq!(decode_ns(sect), Some(3.25));
+        assert!(doc.get("full").is_none());
+        assert_eq!(decode_ns(&Value::obj()), None);
     }
 
     #[test]
@@ -497,8 +438,8 @@ mod tests {
             case("trec_like", 450, 280, 260),
             case("frequent_only", 400, 300, 290),
         ];
-        let quick = section_json(&decode(), &q_cases);
-        let full = section_json(
+        let quick = section(&decode(), &q_cases);
+        let full = section(
             &DecodeResult {
                 postings: 9_999_999,
                 bulk_ns: 4.0,
@@ -507,14 +448,18 @@ mod tests {
             },
             &f_cases,
         );
-        let json = combined_json(Some(&quick), Some(&full));
-        let got_full = section_of(&json, "full").expect("full section present");
-        assert_eq!(parse_decode_ns(got_full), Some(4.0));
-        // A Quick re-run preserves the full section byte for byte.
-        let rewritten = combined_json(section_of(&json, "quick"), Some(got_full));
-        assert_eq!(section_of(&rewritten, "full"), Some(&full[..]));
+        let json = document(Some(quick), Some(full.clone())).render();
+        let doc = record::parse(&json).expect("rendered document parses");
+        let got_full = doc.get("full").expect("full section present");
+        assert_eq!(decode_ns(got_full), Some(4.0));
+        // A Quick re-run preserves the full section figure for figure.
+        let requick = section(&decode(), &[case("topical", 1, 1, 1)]);
+        let rewritten = document(Some(requick), doc.get("full").cloned()).render();
+        let rewritten = record::parse(&rewritten).expect("rewritten document parses");
+        assert_eq!(rewritten.get("full"), Some(&full));
+        assert_ne!(rewritten.get("quick"), doc.get("quick"));
         // The Full floors read the committed speedups per case.
-        let speedups = parse_bandwidth_speedups(got_full);
+        let speedups = bandwidth_speedups(got_full);
         assert_eq!(speedups.len(), 2);
         assert!((speedups[0] - 450.0 / 260.0).abs() < 2e-3);
         assert!((speedups[1] - 400.0 / 290.0).abs() < 2e-3);

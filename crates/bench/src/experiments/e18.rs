@@ -33,11 +33,10 @@
 //! latency ≤ the sequential p99. The committed figures live in
 //! `BENCH_throughput.json`.
 
-use std::fmt::Write as _;
-
 use moa_serve::ServeConfig;
 
 use crate::harness::load::{self, Load, Zipf};
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{fmt_duration, Percentiles, Scale, Table};
 
 /// Ranking depth (matches E16's serving posture).
@@ -156,68 +155,48 @@ fn find(results: &[ThroughputResult], shards: usize, runtime: Runtime) -> &Throu
         .expect("every runtime × shard count is measured")
 }
 
-/// Render the results as machine-readable JSON.
-pub fn to_json(scale: Scale, results: &[ThroughputResult]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"e18\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(out, "  \"top_n\": {TOP_N},");
-    let _ = writeln!(out, "  \"max_batch\": {MAX_BATCH},");
-    let _ = writeln!(out, "  \"overload\": {OVERLOAD},");
-    let _ = writeln!(out, "  \"replays\": {REPLAYS},");
-    let _ = writeln!(
-        out,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(0, |p| p.get())
-    );
+/// The `BENCH_throughput.json` document of the sweep.
+pub fn document(scale: Scale, results: &[ThroughputResult]) -> Value {
+    let mut doc = record::header("e18", Some(scale))
+        .with("top_n", TOP_N)
+        .with("max_batch", MAX_BATCH)
+        .with("overload", OVERLOAD)
+        .with("replays", REPLAYS);
     if let Some(first) = results.first() {
-        let _ = writeln!(out, "  \"queries\": {},", first.queries);
-        let _ = writeln!(out, "  \"distinct_keys\": {},", first.distinct_keys);
-        let _ = writeln!(
-            out,
-            "  \"repeat_rate\": {:.3},",
-            1.0 - first.distinct_keys as f64 / first.queries.max(1) as f64
-        );
+        let repeat_rate = 1.0 - first.distinct_keys as f64 / first.queries.max(1) as f64;
+        doc = doc
+            .with("queries", first.queries)
+            .with("distinct_keys", first.distinct_keys)
+            .with("repeat_rate", fixed(repeat_rate, 3));
     }
-    let _ = writeln!(out, "  \"configs\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
+    let configs = results.iter().map(|r| {
         let seq = find(results, r.shards, Runtime::Sequential);
-        let _ = writeln!(
-            out,
-            "    {{\"shards\": {}, \"runtime\": \"{}\", \"queries\": {}, \
-             \"offered_qps\": {:.0}, \"achieved_qps\": {:.0}, \
-             \"qps_vs_sequential\": {:.3}, \"coalesced_pct\": {:.1}, \
-             \"p50_us\": {}, \"p95_us\": {}, \
-             \"p99_us\": {}, \"max_us\": {}, \"saturated\": {}}}{comma}",
-            r.shards,
-            r.runtime.name(),
-            r.queries,
-            r.offered_qps,
-            r.achieved_qps,
-            r.achieved_qps / seq.achieved_qps.max(1e-9),
-            100.0 * r.coalesced as f64 / r.queries.max(1) as f64,
-            r.latency.p50.as_micros(),
-            r.latency.p95.as_micros(),
-            r.latency.p99.as_micros(),
-            r.latency.max.as_micros(),
-            r.saturated,
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+        let coalesced_pct = 100.0 * r.coalesced as f64 / r.queries.max(1) as f64;
+        Value::obj()
+            .with("shards", r.shards)
+            .with("runtime", r.runtime.name())
+            .with("queries", r.queries)
+            .with("offered_qps", fixed(r.offered_qps, 0))
+            .with("achieved_qps", fixed(r.achieved_qps, 0))
+            .with(
+                "qps_vs_sequential",
+                fixed(r.achieved_qps / seq.achieved_qps.max(1e-9), 3),
+            )
+            .with("coalesced_pct", fixed(coalesced_pct, 1))
+            .with("p50_us", r.latency.p50.as_micros())
+            .with("p95_us", r.latency.p95.as_micros())
+            .with("p99_us", r.latency.p99.as_micros())
+            .with("max_us", r.latency.max.as_micros())
+            .with("saturated", r.saturated)
+    });
+    doc.with("configs", configs.collect::<Value>())
 }
 
 /// Run E18, emit `BENCH_throughput.json`, and enforce the gates.
 pub fn run(scale: Scale) -> Table {
     let results = measure(scale);
 
-    let json = to_json(scale, &results);
-    let json_path = std::env::var("MOA_BENCH_THROUGHPUT_JSON")
-        .unwrap_or_else(|_| "BENCH_throughput.json".to_owned());
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e18: could not write {json_path}: {e}");
-    }
+    let json_path = record::write("BENCH_throughput.json", &document(scale, &results));
 
     let mut t = Table::new(
         "E18: sustained-load serving (pool vs sequential)",
@@ -348,7 +327,7 @@ mod tests {
     #[test]
     fn e18_json_is_well_formed() {
         let results = quick();
-        let json = to_json(Scale::Quick, results);
+        let json = document(Scale::Quick, results).render();
         assert!(json.contains("\"experiment\": \"e18\""));
         assert_eq!(json.matches("{\"shards\"").count(), results.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count());

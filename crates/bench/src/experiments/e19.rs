@@ -29,7 +29,6 @@
 //! crashes injected and the post-storm pool answers the oracle exactly.
 //! The committed figures live in `BENCH_resilience.json`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -40,6 +39,7 @@ use moa_serve::{
 };
 
 use crate::harness::load::{self, Load, Oracle, Zipf};
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{fmt_duration, Percentiles, Scale, Table};
 
 /// Ranking depth.
@@ -389,75 +389,56 @@ pub fn measure(scale: Scale) -> ResilienceReport {
     }
 }
 
-/// Render the report as machine-readable JSON.
-pub fn to_json(scale: Scale, r: &ResilienceReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"e19\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(out, "  \"top_n\": {TOP_N},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"max_batch\": {MAX_BATCH},");
-    let _ = writeln!(out, "  \"queue_depth\": {QUEUE_DEPTH},");
-    let _ = writeln!(out, "  \"capacity_qps\": {:.0},", r.capacity_qps);
-    let _ = writeln!(out, "  \"overload\": [");
-    for (i, o) in r.overload.iter().enumerate() {
-        let comma = if i + 1 < r.overload.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"multiplier\": {}, \"offered_qps\": {:.0}, \"achieved_qps\": {:.0}, \
-             \"queries\": {}, \"completed\": {}, \"shed\": {}, \"shed_pct\": {:.1}, \
-             \"failed\": {}, \"mismatches\": {}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"high_water\": {}, \"bound\": {}}}{comma}",
-            o.multiplier,
-            o.offered_qps,
-            o.achieved_qps,
-            o.queries,
-            o.completed,
-            o.shed,
-            100.0 * o.shed as f64 / o.queries.max(1) as f64,
-            o.failed,
-            o.mismatches,
-            o.latency.p50.as_micros(),
-            o.latency.p99.as_micros(),
-            o.high_water,
-            o.bound,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"deadline\": {{\"budget_us\": {}, \"queries\": {}, \"completed\": {}, \
-         \"partial\": {}, \"partial_pct\": {:.1}, \"failed\": {}, \"mismatches\": {}}},",
-        r.deadline.budget.as_micros(),
-        r.deadline.queries,
-        r.deadline.completed,
-        r.deadline.partial,
-        100.0 * r.deadline.partial as f64 / r.deadline.queries.max(1) as f64,
-        r.deadline.failed,
-        r.deadline.mismatches,
-    );
-    let recovery_max = r
-        .faults
-        .recoveries
-        .iter()
-        .max()
-        .copied()
-        .unwrap_or_default();
-    let _ = writeln!(
-        out,
-        "  \"faults\": {{\"poison_failed\": {}, \"poison_recovered\": {}, \"crashes\": {}, \
-         \"respawns\": {}, \"storm_failed\": {}, \"recovery_max_us\": {}, \
-         \"post_storm_ok\": {}}}",
-        r.faults.poison_failed,
-        r.faults.poison_recovered,
-        r.faults.crashes,
-        r.faults.respawns,
-        r.faults.storm_failed,
-        recovery_max.as_micros(),
-        r.faults.post_storm_ok,
-    );
-    out.push_str("}\n");
-    out
+/// The `BENCH_resilience.json` document of a report.
+pub fn document(scale: Scale, r: &ResilienceReport) -> Value {
+    let overload = r.overload.iter().map(|o| {
+        let shed_pct = 100.0 * o.shed as f64 / o.queries.max(1) as f64;
+        Value::obj()
+            .with("multiplier", o.multiplier)
+            .with("offered_qps", fixed(o.offered_qps, 0))
+            .with("achieved_qps", fixed(o.achieved_qps, 0))
+            .with("queries", o.queries)
+            .with("completed", o.completed)
+            .with("shed", o.shed)
+            .with("shed_pct", fixed(shed_pct, 1))
+            .with("failed", o.failed)
+            .with("mismatches", o.mismatches)
+            .with("p50_us", o.latency.p50.as_micros())
+            .with("p99_us", o.latency.p99.as_micros())
+            .with("high_water", o.high_water)
+            .with("bound", o.bound)
+    });
+    let d = &r.deadline;
+    let deadline = Value::obj()
+        .with("budget_us", d.budget.as_micros())
+        .with("queries", d.queries)
+        .with("completed", d.completed)
+        .with("partial", d.partial)
+        .with(
+            "partial_pct",
+            fixed(100.0 * d.partial as f64 / d.queries.max(1) as f64, 1),
+        )
+        .with("failed", d.failed)
+        .with("mismatches", d.mismatches);
+    let f = &r.faults;
+    let recovery_max = f.recoveries.iter().max().copied().unwrap_or_default();
+    let faults = Value::obj()
+        .with("poison_failed", f.poison_failed)
+        .with("poison_recovered", f.poison_recovered)
+        .with("crashes", f.crashes)
+        .with("respawns", f.respawns)
+        .with("storm_failed", f.storm_failed)
+        .with("recovery_max_us", recovery_max.as_micros())
+        .with("post_storm_ok", f.post_storm_ok);
+    record::header("e19", Some(scale))
+        .with("top_n", TOP_N)
+        .with("shards", SHARDS)
+        .with("max_batch", MAX_BATCH)
+        .with("queue_depth", QUEUE_DEPTH)
+        .with("capacity_qps", fixed(r.capacity_qps, 0))
+        .with("overload", overload.collect::<Value>())
+        .with("deadline", deadline)
+        .with("faults", faults)
 }
 
 /// Enforce every resilience gate on a measured report.
@@ -538,12 +519,7 @@ pub fn enforce_gates(r: &ResilienceReport) {
 pub fn run(scale: Scale) -> Table {
     let report = measure(scale);
 
-    let json = to_json(scale, &report);
-    let json_path = std::env::var("MOA_BENCH_RESILIENCE_JSON")
-        .unwrap_or_else(|_| "BENCH_resilience.json".to_owned());
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e19: could not write {json_path}: {e}");
-    }
+    let json_path = record::write("BENCH_resilience.json", &document(scale, &report));
 
     let mut t = Table::new(
         "E19: resilience under overload and injected faults",
@@ -652,7 +628,7 @@ mod tests {
             assert!(o.achieved_qps > 0.0);
             assert!(o.latency.p50 <= o.latency.p99);
         }
-        let json = to_json(Scale::Quick, &report);
+        let json = document(Scale::Quick, &report).render();
         assert!(json.contains("\"experiment\": \"e19\""));
         assert!(json.contains("\"deadline\""));
         assert!(json.contains("\"faults\""));

@@ -31,13 +31,13 @@
 //!
 //! The committed figures live in `BENCH_obs.json`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 use moa_ir::InvertedIndex;
-use moa_serve::{BatchQuery, ServeConfig, ServeSession};
+use moa_serve::{BatchQuery, ServeConfig, ServeSession, SLOW_LOG};
 
 use crate::harness::load::{self, Load, Zipf};
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{fmt_duration, Percentiles, Scale, Table};
 
 /// Ranking depth (matches the E18 serving posture).
@@ -123,7 +123,7 @@ pub fn assert_identical_answers(index: &Arc<InvertedIndex>, stream: &[BatchQuery
 /// Sanity-check the instrumented session's captured telemetry after a
 /// driven stream: bounded worst-first slow log, retained traces, and
 /// registry counters that reconcile with what was driven.
-fn check_capture(session: &ServeSession, config_slow: usize) -> (usize, usize) {
+fn check_capture(session: &ServeSession) -> (usize, usize) {
     let traces = session.traces();
     assert!(
         !traces.is_empty(),
@@ -135,8 +135,8 @@ fn check_capture(session: &ServeSession, config_slow: usize) -> (usize, usize) {
     }
     let slow = session.drain_slow_queries();
     assert!(
-        slow.len() <= config_slow,
-        "slow log exceeded its bound: {} > {config_slow}",
+        slow.len() <= SLOW_LOG,
+        "slow log exceeded its bound: {} > {SLOW_LOG}",
         slow.len()
     );
     assert!(
@@ -174,10 +174,9 @@ pub fn measure(scale: Scale) -> Vec<ObsResult> {
     for &shards in &SHARD_COUNTS {
         for telemetry in [false, true] {
             let mut s = load::session(&index, config(shards, telemetry));
-            let slow_cap = s.config().slow_log;
             let best = load::best_drive(&mut s, &stream, arrivals, REPLAYS);
             let (traces, slow) = if telemetry {
-                check_capture(&s, slow_cap)
+                check_capture(&s)
             } else {
                 assert!(s.traces().is_empty(), "telemetry off must capture nothing");
                 assert!(s.drain_slow_queries().is_empty());
@@ -207,59 +206,41 @@ fn find(results: &[ObsResult], shards: usize, telemetry: bool) -> &ObsResult {
         .expect("every mode × shard count is measured")
 }
 
-/// Render the results as machine-readable JSON.
-pub fn to_json(scale: Scale, results: &[ObsResult]) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"e20\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(out, "  \"top_n\": {TOP_N},");
-    let _ = writeln!(out, "  \"max_batch\": {MAX_BATCH},");
-    let _ = writeln!(out, "  \"overload\": {OVERLOAD},");
-    let _ = writeln!(out, "  \"replays\": {REPLAYS},");
-    let _ = writeln!(out, "  \"overhead_bound\": {OVERHEAD_BOUND},");
-    let _ = writeln!(
-        out,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(0, |p| p.get())
-    );
-    let _ = writeln!(out, "  \"configs\": [");
-    for (i, r) in results.iter().enumerate() {
-        let comma = if i + 1 < results.len() { "," } else { "" };
+/// The `BENCH_obs.json` document of the sweep.
+pub fn document(scale: Scale, results: &[ObsResult]) -> Value {
+    let configs = results.iter().map(|r| {
         let off = find(results, r.shards, false);
-        let _ = writeln!(
-            out,
-            "    {{\"shards\": {}, \"telemetry\": {}, \"queries\": {}, \
-             \"offered_qps\": {:.0}, \"achieved_qps\": {:.0}, \
-             \"qps_vs_uninstrumented\": {:.3}, \"traces\": {}, \"slow\": {}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \"max_us\": {}}}{comma}",
-            r.shards,
-            r.telemetry,
-            r.queries,
-            r.offered_qps,
-            r.achieved_qps,
-            r.achieved_qps / off.achieved_qps.max(1e-9),
-            r.traces,
-            r.slow,
-            r.latency.p50.as_micros(),
-            r.latency.p95.as_micros(),
-            r.latency.p99.as_micros(),
-            r.latency.max.as_micros(),
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+        Value::obj()
+            .with("shards", r.shards)
+            .with("telemetry", r.telemetry)
+            .with("queries", r.queries)
+            .with("offered_qps", fixed(r.offered_qps, 0))
+            .with("achieved_qps", fixed(r.achieved_qps, 0))
+            .with(
+                "qps_vs_uninstrumented",
+                fixed(r.achieved_qps / off.achieved_qps.max(1e-9), 3),
+            )
+            .with("traces", r.traces)
+            .with("slow", r.slow)
+            .with("p50_us", r.latency.p50.as_micros())
+            .with("p95_us", r.latency.p95.as_micros())
+            .with("p99_us", r.latency.p99.as_micros())
+            .with("max_us", r.latency.max.as_micros())
+    });
+    record::header("e20", Some(scale))
+        .with("top_n", TOP_N)
+        .with("max_batch", MAX_BATCH)
+        .with("overload", OVERLOAD)
+        .with("replays", REPLAYS)
+        .with("overhead_bound", OVERHEAD_BOUND)
+        .with("configs", configs.collect::<Value>())
 }
 
 /// Run E20, emit `BENCH_obs.json`, and enforce the overhead gate.
 pub fn run(scale: Scale) -> Table {
     let results = measure(scale);
 
-    let json = to_json(scale, &results);
-    let json_path =
-        std::env::var("MOA_BENCH_OBS_JSON").unwrap_or_else(|_| "BENCH_obs.json".to_owned());
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e20: could not write {json_path}: {e}");
-    }
+    let json_path = record::write("BENCH_obs.json", &document(scale, &results));
 
     let mut t = Table::new(
         "E20: telemetry overhead (instrumented vs uninstrumented pool)",
@@ -359,7 +340,7 @@ mod tests {
     #[test]
     fn e20_json_is_well_formed() {
         let results = quick();
-        let json = to_json(Scale::Quick, results);
+        let json = document(Scale::Quick, results).render();
         assert!(json.contains("\"experiment\": \"e20\""));
         assert_eq!(json.matches("{\"shards\"").count(), results.len());
         assert_eq!(json.matches('{').count(), json.matches('}').count());

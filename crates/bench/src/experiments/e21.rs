@@ -18,10 +18,12 @@
 //!   skewed mix, and the cache's byte high-water stays within its
 //!   configured bound.
 //! * **Miss overhead** — an all-distinct stream with the cache epoch
-//!   flash-invalidated before every replay, so every single lookup
+//!   flash-invalidated before every traversal, so every single lookup
 //!   misses and inserts: the price of carrying the cache when it never
-//!   helps. Gate: uncached wall ≥ cached wall / [`MISS_OVERHEAD_BOUND`]
-//!   (the cache may cost at most 5%).
+//!   helps. The stream is replayed many times, each batch served by
+//!   both sessions back to back. Gate: the median cached/uncached batch
+//!   wall ratio ≤ [`MISS_OVERHEAD_BOUND`] (the cache may cost at most
+//!   5%).
 //! * **Invalidate storm (correctness)** — the Zipf stream served with
 //!   [`moa_serve::ServeSession::invalidate_epoch`] fired before *every*
 //!   batch. Gates: zero cache hits survive the storm (a hit after an
@@ -32,7 +34,6 @@
 //!
 //! The committed figures live in `BENCH_cache.json`.
 
-use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,6 +42,7 @@ use moa_ir::{InvertedIndex, PhysicalPlan};
 use moa_serve::{BatchQuery, CacheConfig, ServeConfig, ServeMode, ServeSession};
 
 use crate::harness::load::{self, Load, Oracle, Zipf};
+use crate::harness::record::{self, fixed, Value};
 use crate::harness::{Scale, Table};
 
 /// Ranking depth (matches the E18/E20 serving posture).
@@ -60,6 +62,10 @@ const OVERLOAD: f64 = 1.75;
 
 /// Replays per cell; the best replay is reported.
 const REPLAYS: usize = 5;
+
+/// Timed traversals of the all-distinct stream in the miss-overhead
+/// measurement, each batch served by both sessions back to back.
+const MISS_TRAVERSALS: usize = 30;
 
 /// Zipf popularity exponents swept, least to most skewed. The last is
 /// the gated mix.
@@ -113,14 +119,15 @@ pub struct SkewResult {
 
 /// Phase B: the all-miss overhead measurement.
 pub struct MissOverhead {
-    /// Distinct queries served per pass.
+    /// Distinct queries per traversal of the stream.
     pub queries: usize,
-    /// Best (minimum) uncached wall time for one pass.
+    /// Uncached wall time summed over the timed traversals.
     pub off_wall: Duration,
-    /// Best (minimum) cached wall time for one pass, every lookup a
-    /// miss (epoch invalidated before each pass).
+    /// Cached wall time summed over the timed traversals, every lookup
+    /// a miss (epoch invalidated before each traversal).
     pub on_wall: Duration,
-    /// `on_wall / off_wall` — gated ≤ [`MISS_OVERHEAD_BOUND`].
+    /// Median cached/uncached wall ratio over the back-to-back batch
+    /// pairs — gated ≤ [`MISS_OVERHEAD_BOUND`].
     pub overhead: f64,
 }
 
@@ -203,7 +210,8 @@ fn measure_skews(
 
 /// Phase B: carry the cache through an all-distinct stream where it can
 /// never help, and price the pure miss path (lookup + insert) against a
-/// session with no cache at all. Closed-loop: wall time for one pass.
+/// session with no cache at all. Closed-loop, [`MISS_TRAVERSALS`]
+/// traversals, every batch timed on both sessions back to back.
 fn measure_miss_overhead(
     collection: &Collection,
     index: &Arc<InvertedIndex>,
@@ -234,28 +242,43 @@ fn measure_miss_overhead(
         stream.len()
     );
 
-    let pass = |s: &mut ServeSession| -> Duration {
-        let t0 = Instant::now();
-        for chunk in stream.chunks(MAX_BATCH) {
-            let _ = s.submit_many(chunk).expect("blocking admission");
-        }
-        t0.elapsed()
-    };
-
+    // Batch by batch, the two sessions serve the same chunk back to
+    // back, alternating which goes first, so the drift of a shared host
+    // hits both sides of every pair alike. On a shared 2-core host,
+    // passes of identical work measured 60-103 ms apart, and two
+    // cache-less sessions timed best-of-15 whole passes came out up to
+    // 1.12x apart; the median of paired batch ratios stays within 2%
+    // of 1 for two cache-less sessions. The cached session's epoch is
+    // flash-invalidated before each traversal, so every lookup walks
+    // the full miss path (probe, execute, re-insert over the stale
+    // slot). Traversal 0 warms both sessions, untimed.
     let mut off = load::session(index, config(None));
     let mut on = load::session(index, config(Some(CacheConfig::default())));
-    let _ = pass(&mut off); // warm-up
-    on.invalidate_epoch();
-    let _ = pass(&mut on);
-    let mut off_wall = Duration::MAX;
-    let mut on_wall = Duration::MAX;
-    for _ in 0..REPLAYS {
-        off_wall = off_wall.min(pass(&mut off));
-        // Flash-invalidate before each pass: every lookup must walk the
-        // full miss path (probe, execute, re-insert over the stale slot).
+    let timed = |s: &mut ServeSession, chunk: &[BatchQuery]| {
+        let t0 = Instant::now();
+        let _ = s.submit_many(chunk).expect("blocking admission");
+        t0.elapsed()
+    };
+    let (mut off_wall, mut on_wall) = (Duration::ZERO, Duration::ZERO);
+    let mut ratios = Vec::new();
+    for traversal in 0..=MISS_TRAVERSALS {
         on.invalidate_epoch();
-        on_wall = on_wall.min(pass(&mut on));
+        for (i, chunk) in stream.chunks(MAX_BATCH).enumerate() {
+            let (off_t, on_t) = if (traversal + i) % 2 == 0 {
+                let off_t = timed(&mut off, chunk);
+                (off_t, timed(&mut on, chunk))
+            } else {
+                let on_t = timed(&mut on, chunk);
+                (timed(&mut off, chunk), on_t)
+            };
+            if traversal > 0 {
+                off_wall += off_t;
+                on_wall += on_t;
+                ratios.push(on_t.as_secs_f64() / off_t.as_secs_f64().max(1e-12));
+            }
+        }
     }
+    ratios.sort_by(f64::total_cmp);
     // The discipline held: an all-distinct, always-invalidated stream
     // can never hit.
     assert_eq!(
@@ -267,7 +290,7 @@ fn measure_miss_overhead(
         queries: stream.len(),
         off_wall,
         on_wall,
-        overhead: on_wall.as_secs_f64() / off_wall.as_secs_f64().max(1e-12),
+        overhead: ratios[ratios.len() / 2],
     }
 }
 
@@ -330,79 +353,56 @@ pub fn measure(scale: Scale) -> CacheResults {
     }
 }
 
-/// Render the results as machine-readable JSON.
-pub fn to_json(scale: Scale, r: &CacheResults) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"experiment\": \"e21\",");
-    let _ = writeln!(out, "  \"scale\": \"{scale:?}\",");
-    let _ = writeln!(out, "  \"top_n\": {TOP_N},");
-    let _ = writeln!(out, "  \"shards\": {SHARDS},");
-    let _ = writeln!(out, "  \"max_batch\": {MAX_BATCH},");
-    let _ = writeln!(out, "  \"overload\": {OVERLOAD},");
-    let _ = writeln!(out, "  \"replays\": {REPLAYS},");
-    let _ = writeln!(out, "  \"gate_speedup\": {GATE_SPEEDUP},");
-    let _ = writeln!(out, "  \"miss_overhead_bound\": {MISS_OVERHEAD_BOUND},");
-    let _ = writeln!(
-        out,
-        "  \"host_parallelism\": {},",
-        std::thread::available_parallelism().map_or(0, |p| p.get())
-    );
-    let _ = writeln!(out, "  \"skew_sweep\": [");
-    for (i, s) in r.skews.iter().enumerate() {
-        let comma = if i + 1 < r.skews.len() { "," } else { "" };
-        let _ = writeln!(
-            out,
-            "    {{\"exponent\": {}, \"queries\": {}, \"distinct_keys\": {}, \
-             \"repeat_rate\": {:.3}, \"offered_qps\": {:.0}, \"off_qps\": {:.0}, \
-             \"on_qps\": {:.0}, \"speedup\": {:.3}, \"cache_hits\": {}, \
-             \"hit_rate\": {:.3}, \"plans_memoized\": {}, \
-             \"bytes_high_water\": {}, \"capacity_bytes\": {}}}{comma}",
-            s.exponent,
-            s.queries,
-            s.distinct_keys,
-            1.0 - s.distinct_keys as f64 / s.queries.max(1) as f64,
-            s.offered_qps,
-            s.off_qps,
-            s.on_qps,
-            s.on_qps / s.off_qps.max(1e-9),
-            s.cache_hits,
-            s.hit_rate,
-            s.plans_memoized,
-            s.bytes_high_water,
-            s.capacity_bytes,
-        );
-    }
-    let _ = writeln!(out, "  ],");
-    let _ = writeln!(
-        out,
-        "  \"miss_overhead\": {{\"queries\": {}, \"off_wall_us\": {}, \
-         \"on_wall_us\": {}, \"overhead\": {:.4}}},",
-        r.miss.queries,
-        r.miss.off_wall.as_micros(),
-        r.miss.on_wall.as_micros(),
-        r.miss.overhead,
-    );
-    let _ = writeln!(
-        out,
-        "  \"invalidate_storm\": {{\"batches\": {}, \"queries\": {}, \
-         \"stale_hits\": {}, \"insertions\": {}, \"evictions\": {}, \
-         \"bit_identical\": true}}",
-        r.storm.batches, r.storm.queries, r.storm.stale_hits, r.storm.insertions, r.storm.evictions,
-    );
-    out.push_str("}\n");
-    out
+/// The `BENCH_cache.json` document of a measurement.
+pub fn document(scale: Scale, r: &CacheResults) -> Value {
+    let skews = r.skews.iter().map(|s| {
+        let repeat_rate = 1.0 - s.distinct_keys as f64 / s.queries.max(1) as f64;
+        Value::obj()
+            .with("exponent", s.exponent)
+            .with("queries", s.queries)
+            .with("distinct_keys", s.distinct_keys)
+            .with("repeat_rate", fixed(repeat_rate, 3))
+            .with("offered_qps", fixed(s.offered_qps, 0))
+            .with("off_qps", fixed(s.off_qps, 0))
+            .with("on_qps", fixed(s.on_qps, 0))
+            .with("speedup", fixed(s.on_qps / s.off_qps.max(1e-9), 3))
+            .with("cache_hits", s.cache_hits)
+            .with("hit_rate", fixed(s.hit_rate, 3))
+            .with("plans_memoized", s.plans_memoized)
+            .with("bytes_high_water", s.bytes_high_water)
+            .with("capacity_bytes", s.capacity_bytes)
+    });
+    let miss = Value::obj()
+        .with("queries", r.miss.queries)
+        .with("off_wall_us", r.miss.off_wall.as_micros())
+        .with("on_wall_us", r.miss.on_wall.as_micros())
+        .with("overhead", fixed(r.miss.overhead, 4))
+        .with("traversals", MISS_TRAVERSALS);
+    let storm = Value::obj()
+        .with("batches", r.storm.batches)
+        .with("queries", r.storm.queries)
+        .with("stale_hits", r.storm.stale_hits)
+        .with("insertions", r.storm.insertions)
+        .with("evictions", r.storm.evictions)
+        .with("bit_identical", true);
+    record::header("e21", Some(scale))
+        .with("top_n", TOP_N)
+        .with("shards", SHARDS)
+        .with("max_batch", MAX_BATCH)
+        .with("overload", OVERLOAD)
+        .with("replays", REPLAYS)
+        .with("gate_speedup", GATE_SPEEDUP)
+        .with("miss_overhead_bound", MISS_OVERHEAD_BOUND)
+        .with("skew_sweep", skews.collect::<Value>())
+        .with("miss_overhead", miss)
+        .with("invalidate_storm", storm)
 }
 
 /// Run E21, emit `BENCH_cache.json`, and enforce the gates.
 pub fn run(scale: Scale) -> Table {
     let results = measure(scale);
 
-    let json = to_json(scale, &results);
-    let json_path =
-        std::env::var("MOA_BENCH_CACHE_JSON").unwrap_or_else(|_| "BENCH_cache.json".to_owned());
-    if let Err(e) = std::fs::write(&json_path, &json) {
-        eprintln!("e21: could not write {json_path}: {e}");
-    }
+    let json_path = record::write("BENCH_cache.json", &document(scale, &results));
 
     let mut t = Table::new(
         "E21: cross-batch result cache (off vs on under open-loop Zipf load)",
@@ -434,8 +434,9 @@ pub fn run(scale: Scale) -> Table {
         first.queries
     ));
     t.note(format!(
-        "miss overhead (all-distinct stream, epoch invalidated before every pass, {} \
-         queries): cached {:.0}us vs uncached {:.0}us = {:.3}x (bound {MISS_OVERHEAD_BOUND})",
+        "miss overhead (all-distinct stream of {} queries, epoch invalidated before each of \
+         {MISS_TRAVERSALS} traversals, batches paired back to back): cached {:.0}us vs \
+         uncached {:.0}us, median batch ratio {:.3}x (bound {MISS_OVERHEAD_BOUND})",
         results.miss.queries,
         results.miss.on_wall.as_micros(),
         results.miss.off_wall.as_micros(),
@@ -553,7 +554,7 @@ mod tests {
                 evictions: 200,
             },
         };
-        let json = to_json(Scale::Quick, &r);
+        let json = document(Scale::Quick, &r).render();
         assert!(json.contains("\"experiment\": \"e21\""));
         assert!(json.contains("\"stale_hits\": 0"));
         assert!(json.contains("\"speedup\": 1.583"));

@@ -1,4 +1,7 @@
-//! Experiment implementations E1–E10.
+//! Experiment implementations E1–E21.
+//!
+//! E14–E21 also write a gated `BENCH_*.json` artifact each, through
+//! [`crate::harness::record`].
 //!
 //! | id  | paper anchor                                                | module |
 //! |-----|-------------------------------------------------------------|--------|
@@ -49,7 +52,7 @@ pub mod fixture;
 
 use crate::harness::{Scale, Table};
 
-/// Run one experiment by id ("e1" … "e20"), or all of them.
+/// Run one experiment by id ("e1" … "e21"), or all of them.
 pub fn run(id: &str, scale: Scale) -> Vec<Table> {
     match id {
         "e1" => vec![e1::run(scale)],

@@ -1,9 +1,11 @@
-//! Timing and table-rendering utilities shared by all experiments, and
-//! the open-loop [`load`] harness shared by the serving experiments.
+//! Timing and table-rendering utilities shared by all experiments, the
+//! open-loop [`load`] harness shared by the serving experiments, and the
+//! [`record`] emitter every `BENCH_*.json` artifact is written through.
 
 use std::time::{Duration, Instant};
 
 pub mod load;
+pub mod record;
 
 /// Experiment scale: `Quick` finishes in seconds (CI-friendly); `Full`
 /// uses the FT-scale collection the paper's numbers refer to.

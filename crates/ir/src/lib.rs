@@ -28,9 +28,9 @@
 //!   safe switch strategy, and non-dense-index-accelerated fragment-B access,
 //! * [`safety`] — the early quality check that triggers the switch,
 //! * [`physical`] — the unified physical retrieval layer: every engine
-//!   path as a [`RetrievalOp`] with unified [`ExecReport`] counters,
-//!   dispatched by [`EngineSet`] so a cost-driven planner can pick among
-//!   them,
+//!   path named by a [`PhysicalPlan`], dispatched by [`EngineSet`] with
+//!   unified [`ExecReport`] counters so a cost-driven planner can pick
+//!   among them,
 //! * [`metrics`] — precision/recall/AP and ranking-overlap metrics.
 
 #![warn(missing_docs)]
@@ -65,10 +65,7 @@ pub use fragment::{
 };
 pub use index::{CollectionStats, InvertedIndex, PostingCursor};
 pub use metrics::{average_precision, footrule_at, mean_of, overlap_at, precision_at, recall_at};
-pub use physical::{
-    EngineSet, ExecReport, ExhaustiveDaatOp, FragmentedOp, PhysicalPlan, PrunedDaatOp, RetrievalOp,
-    SetAtATimeOp,
-};
+pub use physical::{EngineSet, ExecReport, PhysicalPlan};
 pub use ranking::RankingModel;
 pub use safety::{SwitchDecision, SwitchPolicy};
 pub use scorer::{BlockBound, ScoreBounds, ScoreKernel, TermScorer};

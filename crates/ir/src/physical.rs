@@ -1,5 +1,5 @@
-//! The physical retrieval layer: one operator interface over all four
-//! engine paths.
+//! The physical retrieval layer: one dispatcher over all four engine
+//! paths.
 //!
 //! The paper's Step 3 asks for a *centralized* cost model that picks the
 //! execution strategy. That is only possible when the strategies are
@@ -10,8 +10,8 @@
 //!
 //! * [`PhysicalPlan`] names every physical alternative (the Cascades-style
 //!   physical side of the logical `rank` operator),
-//! * [`RetrievalOp`] is the uniform executable operator: every engine path
-//!   implements it and yields an [`ExecReport`] with unified work counters,
+//! * [`ExecReport`] carries the unified work counters every engine path
+//!   reports,
 //! * [`EngineSet`] owns the shared per-index state (one [`ScoreKernel`],
 //!   one lazily built [`ScoreBounds`], one accumulator, one
 //!   [`FragSearcher`]) and executes whichever plan the
@@ -192,76 +192,6 @@ impl From<FragSearchReport> for ExecReport {
     }
 }
 
-/// A uniformly executable physical retrieval operator.
-pub trait RetrievalOp {
-    /// The operator's display name.
-    fn name(&self) -> &'static str;
-    /// Evaluate a bag-of-terms query, returning the top `n` with unified
-    /// work counters.
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport>;
-}
-
-/// The MaxScore-pruned DAAT kernel as a physical operator.
-#[derive(Debug)]
-pub struct PrunedDaatOp<'a>(pub DaatSearcher<'a>);
-
-impl RetrievalOp for PrunedDaatOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::PrunedDaat.name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.0.search(terms, n)?.into())
-    }
-}
-
-/// The exhaustive cursor merge as a physical operator.
-#[derive(Debug)]
-pub struct ExhaustiveDaatOp<'a>(pub DaatSearcher<'a>);
-
-impl RetrievalOp for ExhaustiveDaatOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::ExhaustiveDaat.name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.0.search_exhaustive(terms, n)?.into())
-    }
-}
-
-/// The set-at-a-time accumulator engine as a physical operator.
-#[derive(Debug)]
-pub struct SetAtATimeOp<'a>(pub Searcher<'a>);
-
-impl RetrievalOp for SetAtATimeOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::SetAtATime.name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.0.search(terms, n)?.into())
-    }
-}
-
-/// One fragmented strategy as a physical operator.
-#[derive(Debug)]
-pub struct FragmentedOp<'a> {
-    /// The (shared, reusable) fragmented evaluator.
-    pub searcher: &'a mut FragSearcher,
-    /// The strategy this operator instance executes.
-    pub strategy: Strategy,
-}
-
-impl RetrievalOp for FragmentedOp<'_> {
-    fn name(&self) -> &'static str {
-        PhysicalPlan::Fragmented(self.strategy).name()
-    }
-
-    fn execute(&mut self, terms: &[u32], n: usize) -> Result<ExecReport> {
-        Ok(self.searcher.search(terms, n, self.strategy)?.into())
-    }
-}
-
 /// All four engine paths behind one dispatcher, sharing one
 /// [`ScoreKernel`] (per-document norms), one lazily built [`ScoreBounds`]
 /// (pruning tables, paid only when a DAAT plan actually prunes), one
@@ -388,8 +318,7 @@ impl EngineSet {
         self.frag_searcher.reset_scratch();
     }
 
-    /// Execute `plan` for a query, dispatching through the uniform
-    /// [`RetrievalOp`] interface.
+    /// Execute `plan` for a query on the engine path it names.
     pub fn execute(&mut self, plan: PhysicalPlan, terms: &[u32], n: usize) -> Result<ExecReport> {
         self.execute_gated(plan, terms, n, &BoundGate::none())
     }
@@ -622,24 +551,5 @@ mod tests {
         names.dedup();
         assert_eq!(names.len(), PhysicalPlan::ALL.len());
         assert_eq!(PhysicalPlan::PrunedDaat.name(), "pruned_daat");
-    }
-
-    #[test]
-    fn trait_object_dispatch_works() {
-        let (c, set) = engines();
-        let queries = generate_queries(&c, &QueryConfig::default())
-            .expect("default query workload fits the tiny collection");
-        let q = &queries[0];
-        let index = Arc::clone(set.fragments());
-        let daat = DaatSearcher::new(index.index(), RankingModel::default());
-        let mut pruned = PrunedDaatOp(daat);
-        let ops: Vec<&mut dyn RetrievalOp> = vec![&mut pruned];
-        for op in ops {
-            let rep = op
-                .execute(&q.terms, 5)
-                .expect("generated query terms are all in vocabulary");
-            assert!(!rep.top.is_empty());
-            assert_eq!(op.name(), "pruned_daat");
-        }
     }
 }

@@ -90,7 +90,7 @@ pub use fault::{
     panic_message, silence_worker_panics, ServeError, ServeResult, ShardPanic, WorkerFault,
 };
 pub use pool::{
-    BatchTicket, ExplainRow, PoolConfig, PoolEvent, PoolShutdown, ShardPool, SlowQuery,
+    BatchTicket, ExplainRow, PoolEvent, PoolShutdown, ShardPool, SlowQuery, SLOW_LOG, TRACE_RING,
 };
 pub use service::{BatchReport, PendingBatch, ServeConfig, ServeSession, ServeStats, ShardBusy};
 pub use shard::{

@@ -15,13 +15,13 @@
 //!   allocate only the per-batch bookkeeping (queries, gates, result
 //!   columns), never per-posting or per-candidate state.
 //! * **Bounded admission.** Every worker queue carries a
-//!   [`QueueGauge`] bounded at [`PoolConfig::queue_depth`];
+//!   [`QueueGauge`] bounded at [`ServeConfig::queue_depth`];
 //!   [`ShardPool::submit`] admits under an [`AdmissionPolicy`] — block
 //!   for room (backpressure), shed with [`ServeError::Shed`], or admit
 //!   only into idle workers. A saturated pool can no longer grow its
 //!   queues (and its memory) without limit; E19 drives this at multiples
 //!   of calibrated capacity and gates on the recorded high-water marks.
-//! * **Per-query deadlines.** With [`PoolConfig::deadline`] set, every
+//! * **Per-query deadlines.** With [`ServeConfig::deadline`] set, every
 //!   distinct query is admitted with one `moa_ir` `DeadlineGate` shared
 //!   by all shards (queueing time counts against the budget). An expired
 //!   query comes back `Ok` with `partial == true`: an exact prefix of
@@ -47,7 +47,7 @@
 //!   paper's "millions of users" regime), the hottest query alone is a
 //!   double-digit percentage of traffic, making coalescing the single
 //!   biggest throughput lever the admission queue owns.
-//! * **Query-lifecycle telemetry.** The pool owns (or is handed) a
+//! * **Query-lifecycle telemetry.** The pool owns a
 //!   [`MetricsRegistry`]: admission counters (batches, admitted,
 //!   coalesced, shed), per-shard queue-depth gauges with high-water
 //!   marks, query and queue-wait latency histograms, and worker
@@ -92,6 +92,7 @@ use parking_lot::Mutex;
 
 use crate::admission::{AdmissionPolicy, QueueGauge};
 use crate::fault::{panic_message, ServeError, ServeResult, ShardPanic, WorkerFault};
+use crate::service::ServeConfig;
 use crate::shard::{
     gates, merge_columns, BatchQuery, EngineShard, QueryResponse, ServeMode, ShardColumn,
     ShardSpec, ShardedEngine,
@@ -102,42 +103,13 @@ use crate::shard::{
 /// respawned instead of deadlocking the submitter.
 const BLOCK_RECHECK: Duration = Duration::from_millis(10);
 
-/// Pool runtime configuration: the overload posture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Per-worker queue bound: admitted-but-unfinished batch jobs
-    /// (clamped ≥ 1). Queue memory is `O(queue_depth × batch size)` by
-    /// construction.
-    pub queue_depth: usize,
-    /// Per-query deadline budget, applied at admission (queueing time
-    /// counts against it). `None` disables deadlines entirely — gates
-    /// carry no deadline and the evaluation loops skip even the poll.
-    pub deadline: Option<Duration>,
-    /// Capture per-query traces and slow-log entries on the workers.
-    /// Registry counters, gauges, and histograms are always live (a few
-    /// relaxed atomic ops per query); this switch covers the trace-ring
-    /// writes and slow-log offers — the parts behind a (worker-local,
-    /// uncontended) mutex. E20 measures the difference.
-    pub telemetry: bool,
-    /// Per-worker trace ring capacity: the most recent query traces each
-    /// worker retains (preallocated at spawn; zero disables capture).
-    pub trace_ring: usize,
-    /// Pool-wide slow-query log capacity: the worst-K queries by shard
-    /// wall time, full traces attached (zero disables the log).
-    pub slow_log: usize,
-}
+/// Per-worker trace ring capacity: the most recent query traces each
+/// worker retains (preallocated at spawn).
+pub const TRACE_RING: usize = 128;
 
-impl Default for PoolConfig {
-    fn default() -> PoolConfig {
-        PoolConfig {
-            queue_depth: 64,
-            deadline: None,
-            telemetry: true,
-            trace_ring: 128,
-            slow_log: 16,
-        }
-    }
-}
+/// Pool-wide slow-query log capacity: the worst-K queries by shard wall
+/// time, full traces attached.
+pub const SLOW_LOG: usize = 16;
 
 /// Retained structured-event history (panics, respawns). Events are rare
 /// — a full log means hundreds of worker deaths — so a modest bound
@@ -610,7 +582,8 @@ pub struct ShardPool {
     spec: ShardSpec,
     index: Arc<InvertedIndex>,
     kernel: Arc<ScoreKernel>,
-    config: PoolConfig,
+    /// Per-query deadline budget ([`ServeConfig::deadline`]).
+    deadline: Option<Duration>,
     /// Every metric the pool publishes; shared with the serving session
     /// (which adds its merge/delivery spans to the same registry).
     registry: Arc<MetricsRegistry>,
@@ -627,32 +600,18 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Stand the pool up from a built engine with the default
-    /// [`PoolConfig`] (queue depth 64, no deadline, telemetry on).
-    pub fn new(engine: ShardedEngine) -> ShardPool {
-        ShardPool::with_config(engine, PoolConfig::default())
-    }
-
-    /// Stand the pool up from a built engine with a fresh private
-    /// metrics registry. See [`ShardPool::with_config_and_registry`].
-    pub fn with_config(engine: ShardedEngine, config: PoolConfig) -> ShardPool {
-        ShardPool::with_config_and_registry(engine, config, Arc::new(MetricsRegistry::new()))
-    }
-
     /// Stand the pool up from a built engine: every shard is parked in a
     /// retained slot and served by its own long-lived worker thread,
-    /// with admission bounded per `config`. All pool metrics register in
-    /// `registry` (per-shard queue-depth gauges as
-    /// `serve.queue_depth.shard<i>`; counters and latency histograms
-    /// under `serve.*`), so a caller can hand in a shared registry and
-    /// read one exposition for the whole stack.
-    pub fn with_config_and_registry(
-        engine: ShardedEngine,
-        config: PoolConfig,
-        registry: Arc<MetricsRegistry>,
-    ) -> ShardPool {
+    /// with admission bounded at `config.queue_depth`, deadlines at
+    /// `config.deadline`, and trace capture per `config.telemetry`. All
+    /// pool metrics register in the pool's [`ShardPool::registry`]
+    /// (per-shard queue-depth gauges as `serve.queue_depth.shard<i>`;
+    /// counters and latency histograms under `serve.*`), which the
+    /// serving session shares for one exposition of the whole stack.
+    pub fn new(engine: ShardedEngine, config: &ServeConfig) -> ShardPool {
         let (shards, spec, index, kernel) = engine.into_parts();
-        let slow = Arc::new(SlowLog::with_capacity(config.slow_log));
+        let registry = Arc::new(MetricsRegistry::new());
+        let slow = Arc::new(SlowLog::with_capacity(SLOW_LOG));
         let events = Arc::new(EventLog::with_capacity(EVENT_LOG_CAP));
         let counters = PoolCounters {
             batches: registry.counter("serve.batches"),
@@ -678,7 +637,7 @@ impl ShardPool {
                     memo_hits: registry.counter("serve.plan_memo_hits"),
                     query_ns: registry.histogram("serve.query_ns"),
                     queue_wait_ns: registry.histogram("serve.queue_wait_ns"),
-                    ring: Mutex::new(TraceRing::with_capacity(config.trace_ring)),
+                    ring: Mutex::new(TraceRing::with_capacity(TRACE_RING)),
                     slow: Arc::clone(&slow),
                 });
                 let (tx, rx) = channel();
@@ -704,7 +663,7 @@ impl ShardPool {
             spec,
             index,
             kernel,
-            config,
+            deadline: config.deadline,
             registry,
             events,
             slow,
@@ -732,11 +691,6 @@ impl ShardPool {
     /// The ranking model every shard scores with.
     pub fn model(&self) -> RankingModel {
         self.kernel.model()
-    }
-
-    /// The runtime configuration in force.
-    pub fn config(&self) -> PoolConfig {
-        self.config
     }
 
     /// The per-worker queue bound actually enforced (the configured
@@ -799,7 +753,7 @@ impl ShardPool {
 
     /// Recent query traces from every worker's ring, in shard order
     /// (each worker's slice oldest first). Empty when
-    /// [`PoolConfig::telemetry`] is off or the rings have zero capacity.
+    /// [`ServeConfig::telemetry`] is off.
     pub fn traces(&self) -> Vec<QueryTrace> {
         self.workers
             .iter()
@@ -921,7 +875,7 @@ impl ShardPool {
     fn build_gates(&self, queries: &[BatchQuery], propagate: bool) -> Vec<BoundGate> {
         // With one shard there is no peer to propagate to or from.
         let gs = gates(queries, propagate && self.workers.len() > 1);
-        match self.config.deadline {
+        match self.deadline {
             None => gs,
             Some(budget) => gs
                 .into_iter()

@@ -32,7 +32,7 @@ use moa_obs::{Histogram, MetricsRegistry, QueryTrace};
 use crate::admission::AdmissionPolicy;
 use crate::cache::{CacheConfig, ResultCache};
 use crate::fault::{ServeError, ServeResult};
-use crate::pool::{BatchTicket, PoolConfig, PoolEvent, PoolShutdown, ShardPool, SlowQuery};
+use crate::pool::{BatchTicket, PoolEvent, PoolShutdown, ShardPool, SlowQuery};
 use crate::shard::{merge_columns, BatchQuery, QueryResponse, ServeMode, ShardSpec, ShardedEngine};
 
 /// Session configuration.
@@ -63,14 +63,14 @@ pub struct ServeConfig {
     /// against it). Expired queries return `Ok` with
     /// [`QueryResponse::partial`] set. `None` disables deadlines.
     pub deadline: Option<Duration>,
-    /// Capture per-query traces and slow-log entries on the shard
-    /// workers (registry metrics are always live). E20 measures the
-    /// overhead of leaving this on.
+    /// Capture per-query traces (the last [`crate::TRACE_RING`] per
+    /// worker) and slow-log entries (the worst [`crate::SLOW_LOG`]) on the
+    /// shard workers. Registry counters, gauges, and histograms are always
+    /// live (a few relaxed atomic ops per query); this switch covers the
+    /// trace-ring writes and slow-log offers — the parts behind a
+    /// (worker-local, uncontended) mutex. E20 measures the overhead of
+    /// leaving this on.
     pub telemetry: bool,
-    /// Per-worker trace ring capacity (recent query traces retained).
-    pub trace_ring: usize,
-    /// Slow-query log capacity (worst-K by shard wall time).
-    pub slow_log: usize,
     /// Cross-batch result cache ([`crate::cache`]). `None` (the
     /// default) disables it: every query executes. `Some` bounds the
     /// cache in bytes; hits are consulted at admission *before* the
@@ -97,8 +97,6 @@ impl ServeConfig {
             admission: AdmissionPolicy::Block,
             deadline: None,
             telemetry: true,
-            trace_ring: 128,
-            slow_log: 16,
             cache: None,
         }
     }
@@ -351,14 +349,7 @@ impl ServeSession {
             config.policy,
             config.sparse_block,
         )?;
-        let pool_config = PoolConfig {
-            queue_depth: config.queue_depth,
-            deadline: config.deadline,
-            telemetry: config.telemetry,
-            trace_ring: config.trace_ring,
-            slow_log: config.slow_log,
-        };
-        let pool = ShardPool::with_config(engine, pool_config);
+        let pool = ShardPool::new(engine, &config);
         // The session's merge/delivery spans land in the same registry
         // as the pool's shard-side metrics: one exposition for the stack.
         let merge_ns = pool.registry().histogram("serve.kway_merge_ns");
